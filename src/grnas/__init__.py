@@ -2,6 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .kernels import active_backend
-
-__all__ = ["active_backend", "__version__"]
+__all__ = ["__version__"]

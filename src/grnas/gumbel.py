@@ -181,12 +181,8 @@ def conditional_gumbel_sample(theta, outcome, rng, exponentials=None) -> Perturb
     if not np.isfinite(theta[index]):
         raise ValueError("cannot condition on a zero-probability category")
     if exponentials is not None:
-        e = np.asarray(exponentials, dtype=np.float64)
-        log_z = log_partition(theta)
-        log_e = np.log(e)
-        with np.errstate(invalid="ignore"):
-            values = -np.logaddexp(log_e - theta, log_e[index] - log_z)
-        values[index] = log_z - log_e[index]
+        e = np.array(exponentials, dtype=np.float64)  # a copy: the kernel overwrites it
+        values = kernels.posterior_values(theta, e, (..., index))
     else:
         values = kernels.conditional_values(theta, index, 1, rng)[0]
     return PerturbedLogits(values=values, argmax_index=int(np.argmax(values)))

@@ -1,122 +1,115 @@
-"""Hot numeric kernels, in two interchangeable flavours.
+"""Hot numeric kernels of the Monte Carlo estimators, in numpy.
 
 The Monte Carlo inner loops (Gumbel-max draws, conditional-posterior draws,
 and the per-trial averaged softmax Jacobian-vector products of the gradient
-estimators) dominate runtime at 1e5 trials x K conditional samples.  Each
-kernel exists twice:
+estimators) dominate runtime at 1e5 trials x K conditional samples.
 
-* a numba ``@njit`` version that loops over trials, and
-* a pure-numpy version that processes trials in chunks.
+The conditional posterior of the perturbed logits given argmax == i is drawn
+in exponential space.  With E ~ Exp(1) drawn as -log(u) from clamped
+uniforms and p = softmax(theta), one row is
 
-Both consume the same ``numpy.random.Generator`` stream in the same block
-order, so a fixed seed gives matching results across backends up to
-summation-order rounding.  The active backend is chosen once at import from
-the ``GRNAS_BACKEND`` environment variable: ``numba`` (default when numba
-imports), ``numpy`` (forced fallback), or ``auto``.
+    q_j = E_j / p_j + E_i  (j != i),    q_i = E_i,    values = log Z - log q,
 
-Draw-order contract shared by the two flavours (per kernel call):
-uniform blocks are consumed whole, row-major, trial-major; no draws are
-interleaved within a trial.
+so the chosen coordinate is the row maximum by construction, and the
+tempered softmax of the values is (q / q_i)^(-1/lambda), normalised, with
+every ratio >= 1: no max subtraction is needed.  ``_posterior_q`` is the one
+implementation of this formula.
+
+Draw-order contract (per kernel call): uniform blocks are consumed whole,
+row-major, trial-major; no draws are interleaved within a trial.
+``grmc_stats`` draws one (trials, K, N) block per chunk of ``_CHUNK_TRIALS``
+trials, in trial order, so its results do not depend on the chunk size
+beyond summation rounding.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
 UNIFORM_EPS = 1e-12  # clamp for the double-log transform; Eq-free: quantile is singular at 0/1
 
-_CHUNK_TRIALS = 256  # numpy fallback: trials per vectorized block
+_CHUNK_TRIALS = 256  # trials per vectorized block
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy flavour
-
-
-def _std_gumbel(u):
-    """Standard Gumbel variates from clamped uniforms."""
-    return -np.log(-np.log(np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)))
+def _exponentials(u):
+    """Exp(1) variates -log(u) from clamped uniforms, written over ``u``."""
+    np.maximum(u, UNIFORM_EPS, out=u)  # np.clip, at half its call cost
+    np.minimum(u, 1.0 - UNIFORM_EPS, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 def _logsumexp(theta):
-    m = np.max(theta)
-    if not np.isfinite(m):
+    m = theta.max()
+    if not math.isfinite(m):
         return m
-    return m + np.log(np.sum(np.exp(theta - m)))
+    return m + math.log(np.exp(theta - m).sum())
 
 
-def _softmax_rows(z):
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _posterior_q(theta, log_z, e, at):
+    """Exponential-space posterior rows q (see the module docstring).
+
+    ``e`` is an (..., N) block of Exp(1) variates, overwritten with q, and
+    ``at`` indexes the conditioned coordinate of every row, so that ``e[at]``
+    has shape ``e.shape[:-1]``.  Returns ``(q, q_i)``.
+    """
+    e_i = e[at].copy()  # a view of e when ``at`` is a basic index
+    np.multiply(e, np.exp(log_z - theta), out=e)  # E_j / p_j; +inf where p_j == 0
+    e += e_i[..., None]
+    e[at] = e_i
+    return e, e_i
 
 
-def gumbel_max_indices_numpy(theta, n, rng):
+def posterior_values(theta, e, at):
+    """Perturbed logits theta+G given the argmax, from Exp(1) rows ``e``.
+
+    ``at`` indexes the conditioned coordinate of every row of ``e`` as in
+    ``_posterior_q``: ``(..., i)`` conditions every row on argmax == i.
+    ``e`` (float64) is overwritten.
+    """
+    log_z = _logsumexp(theta)
+    q, _ = _posterior_q(theta, log_z, e, at)
+    np.log(q, out=q)
+    return np.subtract(log_z, q, out=q)
+
+
+def gumbel_max_indices(theta, n, rng):
     """n Gumbel-max argmax draws over the categories of ``theta``."""
-    u = rng.random((n, theta.shape[0]))
-    z = theta[None, :] + _std_gumbel(u)
-    return np.argmax(z, axis=1).astype(np.int64)
+    e = _exponentials(rng.random((n, theta.shape[0])))
+    return np.argmax(theta - np.log(e, out=e), axis=1).astype(np.int64)
 
 
-def _conditional_from_uniforms(theta, index, u):
-    """Posterior perturbed logits (rows) given argmax == index.
-
-    Row construction: E ~ Exp(1) as -log(u); chosen coordinate gets
-    logZ - log(E_i), others -log(E_j/exp(theta_j) + E_i/Z) evaluated in
-    log space for stability.
-    """
-    log_e = np.log(-np.log(np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)))
-    log_z = _logsumexp(theta)
-    with np.errstate(invalid="ignore"):
-        vals = -np.logaddexp(log_e - theta[None, :], (log_e[:, index] - log_z)[:, None])
-    vals[:, index] = log_z - log_e[:, index]
-    return vals
-
-
-def conditional_values_numpy(theta, index, k, rng):
+def conditional_values(theta, index, k, rng):
     """k rows of perturbed logits theta+G conditioned on argmax == index."""
-    u = rng.random((k, theta.shape[0]))
-    return _conditional_from_uniforms(theta, index, u)
+    return posterior_values(theta, _exponentials(rng.random((k, theta.shape[0]))), (..., index))
 
 
-def pooled_conditional_numpy(theta, n, rng):
+def pooled_conditional(theta, n, rng):
     """n rows of (D ~ gumbel-max, then theta+G | D); returns (values, indices)."""
-    n_cat = theta.shape[0]
-    idx = gumbel_max_indices_numpy(theta, n, rng)
-    u = rng.random((n, n_cat))
-    log_e = np.log(-np.log(np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)))
-    log_z = _logsumexp(theta)
-    rows = np.arange(n)
-    log_ei = log_e[rows, idx]
-    with np.errstate(invalid="ignore"):
-        vals = -np.logaddexp(log_e - theta[None, :], (log_ei - log_z)[:, None])
-    vals[rows, idx] = log_z - log_ei
-    return vals, idx
+    idx = gumbel_max_indices(theta, n, rng)
+    e = _exponentials(rng.random((n, theta.shape[0])))
+    return posterior_values(theta, e, (np.arange(n), idx)), idx
 
 
-def _jvp_rows(s, w):
-    """Row-wise tempered-softmax JVP core: out_j = s_j * sum_m s_m (w_j - w_m).
-
-    Pairwise-difference form so constant w annihilates exactly in floating
-    point, not just in expectation.  ``s`` is (..., N), ``w`` is (..., N)
-    broadcastable against it; the 1/lambda factor is applied by callers.
-    """
-    dw = w[..., :, None] - w[..., None, :]  # (..., j, m)
-    return s * np.einsum("...m,...jm->...j", s, dw)
-
-
-def grmc_stats_numpy(theta, d_idx, g_table, g_star, lam, k, rng):
+def grmc_stats(theta, d_idx, g_table, g_star, lam, k, rng):
     """Accumulate GRMC-K estimator trial statistics.
 
     Per trial t with forced outcome i = d_idx[t]: draw K conditional
-    perturbations, average the tempered softmax JVPs of g_table[i].
-    Returns (sum_g, sum_gsq, sum_se, sum_se2) where se is the squared
-    l2 deviation from g_star per trial.
+    perturbations and average the tempered softmax JVPs of g_table[i] in the
+    pairwise form out_j = sum_m M_jm (g_i[j] - g_i[m]) / (K lambda), where
+    M = s^T s sums the softmax outer products over the K rows.  A constant
+    g_table row annihilates exactly in floating point, not just in
+    expectation.  Returns (sum_g, sum_gsq, sum_se, sum_se2) where se is the
+    squared l2 deviation from g_star per trial.
     """
     n_cat = theta.shape[0]
     trials = d_idx.shape[0]
     log_z = _logsumexp(theta)
+    diff = g_table[:, :, None] - g_table[:, None, :]  # (outcome i, j, m)
+    ones = np.ones(n_cat)
+    block = np.empty((min(trials, _CHUNK_TRIALS), k, n_cat))
     sum_g = np.zeros(n_cat)
     sum_gsq = np.zeros(n_cat)
     sum_se = 0.0
@@ -124,15 +117,14 @@ def grmc_stats_numpy(theta, d_idx, g_table, g_star, lam, k, rng):
     for start in range(0, trials, _CHUNK_TRIALS):
         idx = d_idx[start : start + _CHUNK_TRIALS]
         b = idx.shape[0]
-        u = rng.random((b, k, n_cat))
-        log_e = np.log(-np.log(np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)))
-        log_ei = np.take_along_axis(log_e, idx[:, None, None], axis=2)[:, :, 0]
-        with np.errstate(invalid="ignore"):
-            vals = -np.logaddexp(log_e - theta[None, None, :], (log_ei - log_z)[:, :, None])
-        np.put_along_axis(vals, idx[:, None, None], (log_z - log_ei)[:, :, None], axis=2)
-        s = _softmax_rows(vals / lam)
-        w = g_table[idx]  # (b, N)
-        jvp = _jvp_rows(s, w[:, None, :]).mean(axis=1) / lam  # (b, N)
+        e = _exponentials(rng.random(out=block[:b]))
+        s, q_i = _posterior_q(theta, log_z, e, (np.arange(b), slice(None), idx))
+        s /= q_i[:, :, None]
+        s **= -1.0 / lam
+        s /= (s @ ones)[:, :, None]  # row sums by matmul: far faster than sum(axis=2)
+        pair = np.matmul(s.transpose(0, 2, 1), s)  # (b, j, m)
+        pair *= diff[idx]
+        jvp = pair.sum(axis=2) / (k * lam)
         sum_g += jvp.sum(axis=0)
         sum_gsq += (jvp * jvp).sum(axis=0)
         err = jvp - g_star[None, :]
@@ -140,213 +132,3 @@ def grmc_stats_numpy(theta, d_idx, g_table, g_star, lam, k, rng):
         sum_se += se.sum()
         sum_se2 += (se * se).sum()
     return sum_g, sum_gsq, sum_se, sum_se2
-
-
-# ---------------------------------------------------------------------------
-# numba flavour
-
-try:  # pragma: no cover - exercised indirectly through the dispatch table
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    _HAVE_NUMBA = False
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_std_gumbel_scalar(u):
-        if u < UNIFORM_EPS:
-            u = UNIFORM_EPS
-        elif u > 1.0 - UNIFORM_EPS:
-            u = 1.0 - UNIFORM_EPS
-        return -np.log(-np.log(u))
-
-    @njit(cache=True)
-    def _nb_log_exp1(u):
-        # log of an Exp(1) variate drawn as -log(u), u clamped
-        if u < UNIFORM_EPS:
-            u = UNIFORM_EPS
-        elif u > 1.0 - UNIFORM_EPS:
-            u = 1.0 - UNIFORM_EPS
-        return np.log(-np.log(u))
-
-    @njit(cache=True)
-    def _nb_logsumexp(theta):
-        m = theta[0]
-        for j in range(1, theta.shape[0]):
-            if theta[j] > m:
-                m = theta[j]
-        if not np.isfinite(m):
-            return m
-        acc = 0.0
-        for j in range(theta.shape[0]):
-            acc += np.exp(theta[j] - m)
-        return m + np.log(acc)
-
-    @njit(cache=True)
-    def _nb_gumbel_max_indices(theta, n, rng):
-        n_cat = theta.shape[0]
-        u = rng.random((n, n_cat))
-        out = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            best = 0
-            best_val = theta[0] + _nb_std_gumbel_scalar(u[t, 0])
-            for j in range(1, n_cat):
-                v = theta[j] + _nb_std_gumbel_scalar(u[t, j])
-                if v > best_val:
-                    best_val = v
-                    best = j
-            out[t] = best
-        return out
-
-    @njit(cache=True)
-    def _nb_conditional_rows(theta, index, u, log_z, out):
-        # fills out (rows, N) from uniform block u of the same shape
-        rows, n_cat = u.shape
-        for r in range(rows):
-            log_ei = _nb_log_exp1(u[r, index])
-            for j in range(n_cat):
-                if j == index:
-                    out[r, j] = log_z - log_ei
-                else:
-                    log_ej = _nb_log_exp1(u[r, j])
-                    out[r, j] = -np.logaddexp(log_ej - theta[j], log_ei - log_z)
-
-    @njit(cache=True)
-    def _nb_conditional_values(theta, index, k, rng):
-        u = rng.random((k, theta.shape[0]))
-        out = np.empty((k, theta.shape[0]))
-        _nb_conditional_rows(theta, index, u, _nb_logsumexp(theta), out)
-        return out
-
-    @njit(cache=True)
-    def _nb_pooled_conditional(theta, n, rng):
-        n_cat = theta.shape[0]
-        idx = _nb_gumbel_max_indices(theta, n, rng)
-        log_z = _nb_logsumexp(theta)
-        vals = np.empty((n, n_cat))
-        for t in range(n):
-            u = rng.random(n_cat)
-            i = idx[t]
-            log_ei = _nb_log_exp1(u[i])
-            for j in range(n_cat):
-                if j == i:
-                    vals[t, j] = log_z - log_ei
-                else:
-                    log_ej = _nb_log_exp1(u[j])
-                    vals[t, j] = -np.logaddexp(log_ej - theta[j], log_ei - log_z)
-        return vals, idx
-
-    @njit(cache=True)
-    def _nb_grmc_stats(theta, d_idx, g_table, g_star, lam, k, rng):
-        n_cat = theta.shape[0]
-        trials = d_idx.shape[0]
-        log_z = _nb_logsumexp(theta)
-        sum_g = np.zeros(n_cat)
-        sum_gsq = np.zeros(n_cat)
-        sum_se = 0.0
-        sum_se2 = 0.0
-        vals = np.empty((k, n_cat))
-        s = np.empty(n_cat)
-        jvp = np.empty(n_cat)
-        for t in range(trials):
-            i = d_idx[t]
-            u = rng.random((k, n_cat))
-            _nb_conditional_rows(theta, i, u, log_z, vals)
-            w = g_table[i]
-            for j in range(n_cat):
-                jvp[j] = 0.0
-            for kk in range(k):
-                m = vals[kk, 0]
-                for j in range(1, n_cat):
-                    if vals[kk, j] > m:
-                        m = vals[kk, j]
-                norm = 0.0
-                for j in range(n_cat):
-                    s[j] = np.exp((vals[kk, j] - m) / lam)
-                    norm += s[j]
-                for j in range(n_cat):
-                    s[j] /= norm
-                for j in range(n_cat):
-                    acc = 0.0
-                    for mm in range(n_cat):
-                        acc += s[mm] * (w[j] - w[mm])
-                    jvp[j] += s[j] * acc
-            se = 0.0
-            for j in range(n_cat):
-                g = jvp[j] / (k * lam)
-                sum_g[j] += g
-                sum_gsq[j] += g * g
-                e = g - g_star[j]
-                se += e * e
-            sum_se += se
-            sum_se2 += se * se
-        return sum_g, sum_gsq, sum_se, sum_se2
-
-    def gumbel_max_indices_numba(theta, n, rng):
-        return _nb_gumbel_max_indices(theta, n, rng)
-
-    def conditional_values_numba(theta, index, k, rng):
-        return _nb_conditional_values(theta, index, k, rng)
-
-    def pooled_conditional_numba(theta, n, rng):
-        return _nb_pooled_conditional(theta, n, rng)
-
-    def grmc_stats_numba(theta, d_idx, g_table, g_star, lam, k, rng):
-        return _nb_grmc_stats(theta, d_idx, g_table, g_star, lam, k, rng)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_NUMPY_IMPL = {
-    "gumbel_max_indices": gumbel_max_indices_numpy,
-    "conditional_values": conditional_values_numpy,
-    "pooled_conditional": pooled_conditional_numpy,
-    "grmc_stats": grmc_stats_numpy,
-}
-
-_NUMBA_IMPL = (
-    {
-        "gumbel_max_indices": gumbel_max_indices_numba,
-        "conditional_values": conditional_values_numba,
-        "pooled_conditional": pooled_conditional_numba,
-        "grmc_stats": grmc_stats_numba,
-    }
-    if _HAVE_NUMBA
-    else None
-)
-
-BACKENDS = {"numpy": _NUMPY_IMPL}
-if _NUMBA_IMPL is not None:
-    BACKENDS["numba"] = _NUMBA_IMPL
-
-
-def _resolve_backend() -> str:
-    req = os.environ.get("GRNAS_BACKEND", "auto").strip().lower() or "auto"
-    if req == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if req not in ("numba", "numpy"):
-        raise ValueError(f"GRNAS_BACKEND must be 'auto', 'numba' or 'numpy', got {req!r}")
-    if req == "numba" and not _HAVE_NUMBA:
-        raise ImportError("GRNAS_BACKEND=numba requested but numba is not importable")
-    return req
-
-
-_ACTIVE = _resolve_backend()
-
-
-def active_backend() -> str:
-    """Name of the kernel flavour selected at import."""
-    return _ACTIVE
-
-
-_IMPL = BACKENDS[_ACTIVE]
-
-gumbel_max_indices = _IMPL["gumbel_max_indices"]
-conditional_values = _IMPL["conditional_values"]
-pooled_conditional = _IMPL["pooled_conditional"]
-grmc_stats = _IMPL["grmc_stats"]

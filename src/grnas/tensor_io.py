@@ -7,6 +7,8 @@ then a float32 payload in row-major order.  A plain CSV fallback covers
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -25,19 +27,32 @@ def write_tensor(path, array) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a GRNT file back as a float64 array."""
+    """Read a GRNT file back as a float64 array.
+
+    The header is checked against the file size before the payload is read,
+    so a short or garbage header raises ``ValueError`` naming the file
+    instead of allocating what it declares.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if size < 8:
+            raise ValueError(f"{path}: truncated header, no rank field in {size} bytes")
         (rank,) = struct.unpack("<I", fh.read(4))
+        header = 8 + 4 * rank
+        if size < header:
+            raise ValueError(
+                f"{path}: truncated header, rank {rank} needs {header} bytes, file has {size}"
+            )
         dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload, expected {4 * count} bytes")
-        if fh.read(1):
+        expected = 4 * math.prod(dims)
+        if size - header < expected:
+            raise ValueError(f"{path}: truncated payload, dims {dims} need {expected} bytes")
+        if size - header > expected:
             raise ValueError(f"{path}: trailing bytes after payload")
+        payload = fh.read(expected)
     return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
 
 

@@ -69,6 +69,7 @@ def ks_statistic(samples, cdf_at):
 
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
 GRID_K = (10, 100, 1000)
+GRID_SEED = 2024
 
 
 @pytest.fixture(scope="module")
@@ -79,30 +80,31 @@ def estimator_grid():
     theta = np.linspace(-0.5, 0.5, n)
     c = np.zeros(n)
     c[0] = 1.0
-    rng = np.random.default_rng(2024)
+    rng = np.random.default_rng(GRID_SEED)
     objectives = {
         "linear": LinearObjective(c),
         "quadratic": QuadraticObjective(rng.normal(size=(n, n)), rng.normal(size=n)),
     }
     trials = 10**5
     grid = {}
-    for obj_name, obj in objectives.items():
-        for lam in GRID_LAMBDAS:
-            seed = abs(hash((obj_name, lam))) % 2**31
-            stgs = estimator_stats(
-                obj, theta, EstimatorConfig("stgs", lam), trials, np.random.default_rng(seed)
+    cells = [(obj_name, lam) for obj_name in objectives for lam in GRID_LAMBDAS]
+    for i, (obj_name, lam) in enumerate(cells):
+        obj = objectives[obj_name]
+        seed = [GRID_SEED, i]  # from the grid index, not hash(): str hashes vary per process
+        stgs = estimator_stats(
+            obj, theta, EstimatorConfig("stgs", lam), trials, np.random.default_rng(seed)
+        )
+        grmc = {
+            k: estimator_stats(
+                obj,
+                theta,
+                EstimatorConfig("grmc", lam, k),
+                trials,
+                np.random.default_rng(seed),  # shared seed: common forward outcomes
             )
-            grmc = {
-                k: estimator_stats(
-                    obj,
-                    theta,
-                    EstimatorConfig("grmc", lam, k),
-                    trials,
-                    np.random.default_rng(seed),  # shared seed: common forward outcomes
-                )
-                for k in GRID_K
-            }
-            grid[(obj_name, lam)] = (stgs, grmc)
+            for k in GRID_K
+        }
+        grid[(obj_name, lam)] = (stgs, grmc)
     return grid, time.time() - t0
 
 

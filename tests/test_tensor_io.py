@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grnas import tensor_io
 
@@ -38,6 +42,65 @@ def test_bad_magic_and_truncation(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-3])
     with pytest.raises(ValueError):
         tensor_io.read_tensor(truncated)
+
+
+def test_header_declaring_more_than_the_file_holds_names_the_file(tmp_path):
+    cases = {
+        "short_rank.grnt": b"GRNT\x02\x00",
+        "short_dims.grnt": b"GRNT" + struct.pack("<I", 2) + struct.pack("<I", 3),
+        "huge_dims.grnt": b"GRNT" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1),
+        "huge_rank.grnt": b"GRNT" + struct.pack("<I", 2**32 - 1),
+    }
+    for name, raw in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=name):
+            tensor_io.read_tensor(path)
+
+
+def _grnt_bytes(shape):
+    return (
+        b"GRNT"
+        + struct.pack("<I", len(shape))
+        + struct.pack(f"<{len(shape)}I", *shape)
+        + np.arange(int(np.prod(shape)), dtype="<f4").tobytes()
+    )
+
+
+@given(
+    shape=st.lists(st.integers(0, 4), min_size=0, max_size=3),
+    cut=st.integers(min_value=1),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_truncated_files_are_refused(tmp_path, shape, cut):
+    raw = _grnt_bytes(shape)
+    path = tmp_path / "trunc.grnt"
+    path.write_bytes(raw[: max(0, len(raw) - cut)])
+    with pytest.raises(ValueError, match="trunc.grnt"):
+        tensor_io.read_tensor(path)
+
+
+@given(
+    header=st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.integers(0, 2**32 - 1), max_size=6).map(
+            lambda words: struct.pack(f"<{len(words)}I", *words)
+        ),
+    ),
+    payload=st.binary(max_size=64),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_garbage_headers_are_refused_or_read_exactly(tmp_path, header, payload):
+    raw = b"GRNT" + header + payload
+    path = tmp_path / "garbage.grnt"
+    path.write_bytes(raw)
+    try:
+        arr = tensor_io.read_tensor(path)
+    except ValueError as err:
+        assert "garbage.grnt" in str(err)
+    else:
+        # accepted only when rank, dims and payload account for every byte
+        assert 8 + 4 * arr.ndim + 4 * arr.size == len(raw)
 
 
 def test_csv_round_trip(tmp_path):
