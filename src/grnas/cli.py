@@ -78,6 +78,11 @@ class RunManifest:
         return path
 
 
+def _load_config(cls, args):
+    """The command's config file, with ``--seed`` overriding its seed."""
+    return load_config(cls, args.config, {"seed": args.seed} if args.seed is not None else None)
+
+
 def _write_csv(path, header, rows) -> None:
     # repr() formatting: shortest round-trip floats, byte-stable across runs
     def fmt(v):
@@ -95,9 +100,12 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _seed_for(master_seed: int, index: int) -> np.random.Generator:
-    # isolated, order-independent substream per unit of work
-    return np.random.default_rng([master_seed, index])
+def _map_units(fn, count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)], on a pool of ``threads`` when above 1."""
+    if threads <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +123,7 @@ def _bench_objective(kind: str, n: int):
 
 
 def cmd_estimator_bench(args) -> int:
-    cfg = load_config(
-        EstimatorBenchConfig, args.config, {"seed": args.seed} if args.seed is not None else None
-    )
+    cfg = _load_config(EstimatorBenchConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest("estimator-bench", cfg, cfg.seed)
 
@@ -163,11 +169,7 @@ def cmd_estimator_bench(args) -> int:
             )
         return rows, failures
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_unit, range(len(units))))
-    else:
-        results = [run_unit(i) for i in range(len(units))]
+    results = _map_units(run_unit, len(units), args.threads)
 
     all_rows = [row for rows, _ in results for row in rows]
     all_failures = [f for _, fails in results for f in fails]
@@ -221,9 +223,7 @@ def read_history_csv(path):
 
 
 def cmd_search(args) -> int:
-    cfg = load_config(
-        SearchRunConfig, args.config, {"seed": args.seed} if args.seed is not None else None
-    )
+    cfg = _load_config(SearchRunConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest("search", cfg, cfg.seed)
     splits = data_mod.gen_synthetic_bimodal(cfg.task)
@@ -259,12 +259,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(
-        EvalConfig, args.config, {"seed": args.seed} if args.seed is not None else None
-    )
+    cfg = _load_config(EvalConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(args.genotype) as fh:
         genotype = Genotype.from_json(fh.read())
+    try:
+        genotype.check_fits(cfg.space)
+    except ValueError as err:
+        raise ConfigError(f"genotype {args.genotype} does not fit the search space: {err}") from err
     manifest = RunManifest("eval", cfg, cfg.seed)
     splits = data_mod.gen_synthetic_bimodal(cfg.task)
     if cfg.shuffle_labels or args.shuffle_labels:
@@ -290,9 +292,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    cfg = load_config(
-        AblationConfig, args.config, {"seed": args.seed} if args.seed is not None else None
-    )
+    cfg = _load_config(AblationConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest("ablation", cfg, cfg.seed)
     splits = data_mod.gen_synthetic_bimodal(cfg.task)
@@ -308,11 +308,7 @@ def cmd_ablation(args) -> int:
         )
         return result, report
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run_cell, range(len(grid))))
-    else:
-        outcomes = [run_cell(i) for i in range(len(grid))]
+    outcomes = _map_units(run_cell, len(grid), args.threads)
 
     rows = []
     genotype_files = []
@@ -393,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file (defaults apply if omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     p = sub.add_parser("estimator-bench", help="variance/MSE benchmark over the lambda x K grid")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="thread pool size for the grid units")
     p.set_defaults(func=cmd_estimator_bench)
 
     p = sub.add_parser("search", help="run the bilevel architecture search")
@@ -413,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation", help="search+eval over the lambda x K grid")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="thread pool size for the grid cells")
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("gen-data", help="write synthetic bimodal feature files")

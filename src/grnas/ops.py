@@ -31,7 +31,7 @@ def channel_linear(x: Tensor, w: Tensor) -> Tensor:
     return ad.transpose(ad.reshape(h, (n, length, w.shape[1])), (0, 2, 1))
 
 
-def _bias_rows(tape, rows: int, b: Tensor) -> Tensor:
+def bias_rows(tape, rows: int, b: Tensor) -> Tensor:
     # replicate a bias vector over rows via an explicit ones matmul
     # (the engine has no broadcasting beyond scalar scaling)
     ones = tape.constant(np.ones((rows, 1)))
@@ -84,7 +84,7 @@ def op_concat_fc(tape, x: Tensor, y: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.shape[0] != c2:
         raise ShapeError(f"concat_fc: weight {w.shape} does not accept {c2} channels")
     flat = ad.reshape(ad.transpose(joint, (0, 2, 1)), (n * length, c2))
-    h = ad.add(ad.matmul(flat, w), _bias_rows(tape, n * length, b))
+    h = ad.add(ad.matmul(flat, w), bias_rows(tape, n * length, b))
     return ad.transpose(ad.reshape(ad.relu(h), (n, length, w.shape[1])), (0, 2, 1))
 
 

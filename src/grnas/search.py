@@ -11,7 +11,8 @@ Monte Carlo average of K tempered softmaxes at conditionally re-drawn
 Gumbel perturbations given a sampled hard outcome; gradients flow to the
 logits through the averaged softmax Jacobians with the noise held fixed.
 Eval mode replaces all of it with plain softmax probabilities and is
-sampling-free.
+sampling-free.  The derived discrete network runs through the same graph
+walker, with a genotype's hard picks in place of the logits.
 
 Bilevel training alternates weight updates (train split) with
 architecture updates (validation split); search stops when the Shannon
@@ -20,16 +21,16 @@ entropies of the alpha and gamma distributions stabilize.
 
 from __future__ import annotations
 
-import io
+import functools
+import itertools
 import json
-import struct
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels, ops, tensor_io
+from . import gumbel, kernels, ops, tensor_io
 from .autodiff import Tape, Tensor
 from .metrics import MetricsReport, classification_report
 from .ops import FIRST_LEVEL_OPS, SECOND_LEVEL_OPS, OpInstance, descriptor
@@ -135,26 +136,17 @@ def make_taps(space: SearchSpaceConfig) -> list:
     return taps
 
 
-class SearchState:
-    """All learnable parameters of a search run.
+class _FusionWeights:
+    """Op weights keyed (cell, node, op name), the head and the fixed taps.
 
-    alpha: (edges, 2) first-level logits over (identity, zero);
-    gamma: (cells * nodes, |second-level ops|) operation logits;
-    beta:  (cells * nodes * 2 slots, 2) input-wiring logits over
-           (cell input node, previous intermediate node);
-    omega: every candidate op's weights at every cell node, plus the head.
+    The search state holds every candidate op at every node, the derived
+    network only its genotype's op; both keep the same weight names and
+    the same alpha/gamma/beta row layout, so the walker reads either.
     """
 
-    def __init__(self, space: SearchSpaceConfig, rng: np.random.Generator):
+    def __init__(self, space: SearchSpaceConfig, op_instances: dict, rng: np.random.Generator):
         self.space = space
-        self.alpha = np.zeros((len(space.first_level_edges()), len(FIRST_LEVEL_OPS)))
-        self.gamma = np.zeros((space.n_cells * space.nodes_per_cell, len(SECOND_LEVEL_OPS)))
-        self.beta = np.zeros((space.n_cells * space.nodes_per_cell * 2, 2))
-        self.ops = {}
-        for ci in range(space.n_cells):
-            for ni in range(space.nodes_per_cell):
-                for name in SECOND_LEVEL_OPS:
-                    self.ops[(ci, ni, name)] = OpInstance(descriptor(name, space.channels), rng)
+        self.ops = op_instances
         c = space.channels
         self.head_w = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=(c, 2))
         self.head_b = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=2)
@@ -166,17 +158,50 @@ class SearchState:
     def beta_row(self, ci: int, ni: int, slot: int) -> int:
         return (ci * self.space.nodes_per_cell + ni) * 2 + slot
 
-    def omega_arrays(self) -> dict:
-        out = {}
+    def _named_op_weights(self):
         for (ci, ni, name), inst in sorted(self.ops.items()):
             for k, w in enumerate(inst.weights):
-                out[f"cell{ci}.node{ni}.{name}.w{k}"] = w
+                yield (ci, ni, name), f"cell{ci}.node{ni}.{name}.w{k}", w
+
+    def omega_arrays(self) -> dict:
+        out = {name: w for _, name, w in self._named_op_weights()}
         out["head.w"] = self.head_w
         out["head.b"] = self.head_b
         return out
 
+    def weight_leaves(self, tape):
+        """(leaf tensor per omega_arrays name, each op's weight leaves by op key)."""
+        leaves = {name: tape.tensor(w, requires_grad=True) for name, w in self.omega_arrays().items()}
+        by_op = {key: [] for key in self.ops}
+        for key, name, _ in self._named_op_weights():
+            by_op[key].append(leaves[name])
+        return leaves, by_op
+
     def arch_arrays(self) -> dict:
         return {"alpha": self.alpha, "gamma": self.gamma, "beta": self.beta}
+
+
+class SearchState(_FusionWeights):
+    """All learnable parameters of a search run.
+
+    alpha: (edges, 2) first-level logits over (identity, zero);
+    gamma: (cells * nodes, |second-level ops|) operation logits;
+    beta:  (cells * nodes * 2 slots, 2) input-wiring logits over
+           (cell input node, previous intermediate node);
+    omega: every candidate op's weights at every cell node, plus the head.
+    """
+
+    def __init__(self, space: SearchSpaceConfig, rng: np.random.Generator):
+        self.alpha = np.zeros((len(space.first_level_edges()), len(FIRST_LEVEL_OPS)))
+        self.gamma = np.zeros((space.n_cells * space.nodes_per_cell, len(SECOND_LEVEL_OPS)))
+        self.beta = np.zeros((space.n_cells * space.nodes_per_cell * 2, 2))
+        op_instances = {
+            (ci, ni, name): OpInstance(descriptor(name, space.channels), rng)
+            for ci in range(space.n_cells)
+            for ni in range(space.nodes_per_cell)
+            for name in SECOND_LEVEL_OPS
+        }
+        super().__init__(space, op_instances, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -219,133 +244,118 @@ def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mo
     return out
 
 
-def mixed_edge_forward(tape, x: Tensor, edge_logits: Tensor, lam, k, rng, mode) -> Tensor:
-    """Relaxed Identity/Zero edge: the zero branch contributes exactly nothing."""
-    w = grmc_mixture_weights(tape, edge_logits, lam, k, rng, mode)
-    return ad.scale_by(x, ad.take(w, FIRST_LEVEL_OPS.index("identity")))
+def _choose(tape, choice, names, branch, lam, k, rng, mode):
+    """One choice among the candidates ``names``; ``branch(name)`` builds one.
+
+    A logits row mixes the candidates with grmc_mixture_weights under
+    ``mode``, skipping "zero" (exact zero contribution and zero weight
+    gradient); an int picks ``names[choice]`` outright.
+    """
+    if not isinstance(choice, Tensor):
+        return branch(names[choice])
+    w = grmc_mixture_weights(tape, choice, lam, k, rng, mode)
+    out = None
+    for i, name in enumerate(names):
+        if name != "zero":
+            term = ad.scale_by(branch(name), ad.take(w, i))
+            out = term if out is None else ad.add(out, term)
+    return out
+
+
+def mixed_edge_forward(tape, x: Tensor, edge_logits, lam, k, rng, mode):
+    """Identity/Zero edge: the zero branch contributes exactly nothing.
+
+    ``edge_logits`` is a logits row or an int pick; a picked zero edge is
+    dropped and gives None.
+    """
+    return _choose(tape, edge_logits, FIRST_LEVEL_OPS, {"identity": x}.get, lam, k, rng, mode)
 
 
 def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops, lam, k, rng, mode) -> Tensor:
-    """One cell: beta-wired slots feed gamma-weighted op mixtures; output sums nodes.
+    """One cell: beta-wired slots feed gamma-chosen ops; output sums nodes.
 
     inputs: already edge-transformed predecessor tensors (>= 1);
-    gamma_rows: per intermediate node, the (|ops|,) logits tensor;
-    beta_rows: per node, two (2,) slot logits tensors;
+    gamma_rows: per intermediate node, the (|ops|,) logits tensor or an op index;
+    beta_rows: per node, two slot choices, each (2,) logits or an int pick
+    of 0 (cell input node) or 1 (previous intermediate node);
     node_ops: per node, list of (name, callable(tape, x, y) -> Tensor).
     """
     if not inputs:
         raise ValueError("cell needs at least one predecessor input")
-    in_c = inputs[0]
-    for extra in inputs[1:]:
-        in_c = ad.add(in_c, extra)
+    in_c = functools.reduce(ad.add, inputs)
     prev = in_c
     node_outputs = []
     for gamma_row, slot_rows, candidates in zip(gamma_rows, beta_rows, node_ops):
-        slots = []
-        for slot_logits in slot_rows:
-            wb = grmc_mixture_weights(tape, slot_logits, lam, k, rng, mode)
-            slots.append(
-                ad.add(ad.scale_by(in_c, ad.take(wb, 0)), ad.scale_by(prev, ad.take(wb, 1)))
-            )
-        wg = grmc_mixture_weights(tape, gamma_row, lam, k, rng, mode)
-        node_out = None
-        for oi, (name, fn) in enumerate(candidates):
-            if name == "zero":
-                continue  # exact zero contribution and zero weight gradient
-            term = ad.scale_by(fn(tape, slots[0], slots[1]), ad.take(wg, oi))
-            node_out = term if node_out is None else ad.add(node_out, term)
-        node_outputs.append(node_out)
-        prev = node_out
-    out = node_outputs[0]
-    for extra in node_outputs[1:]:
-        out = ad.add(out, extra)
-    return out
+        wired = {"in": in_c, "prev": prev}
+        slots = [_choose(tape, row, ("in", "prev"), wired.get, lam, k, rng, mode) for row in slot_rows]
+        fns = dict(candidates)
+        prev = _choose(
+            tape, gamma_row, [name for name, _ in candidates],
+            lambda name: fns[name](tape, slots[0], slots[1]), lam, k, rng, mode,
+        )
+        node_outputs.append(prev)
+    return functools.reduce(ad.add, node_outputs)
 
 
 # ---------------------------------------------------------------------------
-# full network forward
+# the graph walker: search network, its eval mode and the derived network
 
 
-def _head_logits(tape, pooled: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
-    n = pooled.shape[0]
-    ones = tape.constant(np.ones((n, 1)))
-    bias = ad.matmul(ones, ad.reshape(head_b, (1, 2)))
-    return ad.add(ad.matmul(pooled, head_w), bias)
+def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str):
+    """Forward pass over the fusion graph; returns (logits, weight leaves).
 
+    ``choices`` maps alpha/gamma/beta, in SearchState's row layout, to
+    logits tensors, whose rows are mixed under ``mode``, or to int arrays
+    of a genotype's hard picks.  An op is looked up only when a choice
+    reaches it, so a derived ``net`` holds just its genotype's ops.
+    """
+    space = net.space
+    leaves, op_leaves = net.weight_leaves(tape)
 
-def network_forward(tape, state: SearchState, xa, xb, rng, mode: str):
-    """Search-space forward pass; returns (logits tensor, leaf tensor dict)."""
-    space = state.space
-    leaves = {
-        "alpha": tape.tensor(state.alpha, requires_grad=True),
-        "gamma": tape.tensor(state.gamma, requires_grad=True),
-        "beta": tape.tensor(state.beta, requires_grad=True),
-        "head.w": tape.tensor(state.head_w, requires_grad=True),
-        "head.b": tape.tensor(state.head_b, requires_grad=True),
-    }
-    op_tensors = {}
-    for (ci, ni, name), inst in sorted(state.ops.items()):
-        tensors = inst.make_tensors(tape)
-        op_tensors[(ci, ni, name)] = tensors
-        for kk, t in enumerate(tensors):
-            leaves[f"cell{ci}.node{ni}.{name}.w{kk}"] = t
+    def choice(name, row):
+        source = choices[name]
+        return ad.take_row(source, row) if isinstance(source, Tensor) else int(source[row])
+
+    def bind(key):
+        return lambda t, x, y: net.ops[key].forward(t, x, y, op_leaves[key])
 
     modal = [tape.constant(xa), tape.constant(xb)]
     node_values = []
-    for fi in range(space.n_feature_nodes):
+    for fi, tap in enumerate(net.taps):
         src = modal[0] if fi < space.n_image_features else modal[1]
-        tap = state.taps[fi]
-        if np.array_equal(tap, np.eye(space.channels)):
-            node_values.append(src)
-        else:
-            node_values.append(ops.channel_linear(src, tape.constant(tap)))
+        eye = np.array_equal(tap, np.eye(space.channels))
+        node_values.append(src if eye else ops.channel_linear(src, tape.constant(tap)))
 
+    lam, k = space.lam, space.k_samples
     edges = space.first_level_edges()
+    nodes = range(space.nodes_per_cell)
     for ci in range(space.n_cells):
         dst = space.n_feature_nodes + ci
-        ins = []
-        for ei, (src, d) in enumerate(edges):
-            if d != dst:
-                continue
-            ins.append(
-                mixed_edge_forward(
-                    tape,
-                    node_values[src],
-                    ad.take_row(leaves["alpha"], ei),
-                    space.lam,
-                    space.k_samples,
-                    rng,
-                    mode,
-                )
-            )
-        gamma_rows = [
-            ad.take_row(leaves["gamma"], state.gamma_row(ci, ni))
-            for ni in range(space.nodes_per_cell)
+        ins = [
+            mixed_edge_forward(tape, node_values[src], choice("alpha", ei), lam, k, rng, mode)
+            for ei, (src, d) in enumerate(edges)
+            if d == dst
         ]
-        beta_rows = [
-            [
-                ad.take_row(leaves["beta"], state.beta_row(ci, ni, slot))
-                for slot in range(2)
-            ]
-            for ni in range(space.nodes_per_cell)
-        ]
-        def bind(ci, ni, name):
-            inst = state.ops[(ci, ni, name)]
-            tensors = op_tensors[(ci, ni, name)]
-            return lambda t, x, y: inst.forward(t, x, y, tensors)
-
-        node_ops = [
-            [(name, bind(ci, ni, name)) for name in SECOND_LEVEL_OPS]
-            for ni in range(space.nodes_per_cell)
-        ]
+        gamma_rows = [choice("gamma", net.gamma_row(ci, ni)) for ni in nodes]
+        beta_rows = [[choice("beta", net.beta_row(ci, ni, slot)) for slot in range(2)] for ni in nodes]
+        node_ops = [[(name, bind((ci, ni, name))) for name in SECOND_LEVEL_OPS] for ni in nodes]
         node_values.append(
             cell_forward(
-                tape, ins, gamma_rows, beta_rows, node_ops, space.lam, space.k_samples, rng, mode
+                tape, [x for x in ins if x is not None], gamma_rows, beta_rows, node_ops,
+                lam, k, rng, mode,
             )
         )
 
     pooled = ad.mean_axis(node_values[-1], 2)
-    return _head_logits(tape, pooled, leaves["head.w"], leaves["head.b"]), leaves
+    bias = ops.bias_rows(tape, pooled.shape[0], leaves["head.b"])
+    return ad.add(ad.matmul(pooled, leaves["head.w"]), bias), leaves
+
+
+def network_forward(tape, state: SearchState, xa, xb, rng, mode: str):
+    """Search-space forward pass; returns (logits tensor, leaf tensor dict)."""
+    arch = {name: tape.tensor(a, requires_grad=True) for name, a in state.arch_arrays().items()}
+    logits, leaves = _walk(tape, state, arch, xa, xb, rng, mode)
+    return logits, {**arch, **leaves}
 
 
 def cross_entropy_loss(tape, logits: Tensor, labels) -> Tensor:
@@ -392,12 +402,22 @@ class Adam:
             p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
-def _collect_grads(leaves: dict, names) -> dict:
-    out = {}
-    for name in names:
-        t = leaves[name]
-        out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return out
+def _descend(forward, batch, opt: Adam, params: dict, failure: str) -> float:
+    """One cross-entropy step of ``opt`` on ``params`` over (xa, xb, labels).
+
+    ``forward(tape, xa, xb)`` returns (logits, leaves); a non-finite loss
+    raises TrainingDivergedError with ``failure`` formatted by its value.
+    """
+    xa, xb, labels = batch
+    tape = Tape()
+    logits, leaves = forward(tape, xa, xb)
+    loss = cross_entropy_loss(tape, logits, labels)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingDivergedError(failure.format(value))
+    tape.backward(loss)
+    opt.step(params, {name: leaves[name].grad for name in params})  # None reads as zero
+    return value
 
 
 def bilevel_train_step(state, train_batch, val_batch, schedule, rng, w_opt, a_opt):
@@ -406,36 +426,22 @@ def bilevel_train_step(state, train_batch, val_batch, schedule, rng, w_opt, a_op
     Returns (train_loss, val_loss).  Raises TrainingDivergedError on
     non-finite losses.
     """
-    xa, xb, labels = train_batch
-    tape = Tape()
-    logits, leaves = network_forward(tape, state, xa, xb, rng, "search")
-    loss = cross_entropy_loss(tape, logits, labels)
-    train_loss = loss.item()
-    if not np.isfinite(train_loss):
-        raise TrainingDivergedError(f"non-finite train loss {train_loss} at weight update")
-    tape.backward(loss)
-    omega = state.omega_arrays()
-    w_opt.step(omega, _collect_grads(leaves, omega.keys()))
 
-    xa, xb, labels = val_batch
-    tape = Tape()
-    logits, leaves = network_forward(tape, state, xa, xb, rng, "search")
-    loss = cross_entropy_loss(tape, logits, labels)
-    val_loss = loss.item()
-    if not np.isfinite(val_loss):
-        raise TrainingDivergedError(f"non-finite validation loss {val_loss} at architecture update")
-    tape.backward(loss)
-    arch = state.arch_arrays()
-    a_opt.step(arch, _collect_grads(leaves, arch.keys()))
+    def forward(tape, xa, xb):
+        return network_forward(tape, state, xa, xb, rng, "search")
+
+    train_loss = _descend(
+        forward, train_batch, w_opt, state.omega_arrays(), "non-finite train loss {} at weight update"
+    )
+    val_loss = _descend(
+        forward, val_batch, a_opt, state.arch_arrays(), "non-finite validation loss {} at architecture update"
+    )
     return train_loss, val_loss
 
 
 def entropy(logits_matrix) -> float:
     """Summed Shannon entropy (natural log) of softmax over each row."""
-    z = np.atleast_2d(np.asarray(logits_matrix, dtype=np.float64))
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = gumbel.softmax(np.atleast_2d(logits_matrix))
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
     return float(-plogp.sum())
@@ -506,11 +512,38 @@ class Genotype:
     def from_json(cls, text: str) -> "Genotype":
         return cls.from_json_dict(json.loads(text))
 
+    def check_fits(self, space: SearchSpaceConfig) -> None:
+        """Raise ValueError naming the first way this genotype misses ``space``.
 
-def _softmax_rows(z):
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+        The edges must be the space's first-level edges by name and in order,
+        the cells its (cell, node) pairs in order, each with a known op and two
+        inputs from the cell input or the previous node; a cell left without a
+        kept input edge raises DegenerateGenotypeError.
+        """
+        names = space.node_names
+        expected = (
+            ("first-level edge", [(s, d) for s, d, _ in self.first_level_edges],
+             [(names[s], names[d]) for s, d in space.first_level_edges()]),
+            ("cell node", [(c["cell"], c["node"]) for c in self.cells],
+             [(ci, ni) for ci in range(space.n_cells) for ni in range(space.nodes_per_cell)]),
+        )
+        for what, got, want in expected:
+            for i, (g, w) in enumerate(itertools.zip_longest(got, want)):
+                if g != w:
+                    raise ValueError(f"{what} {i} is {g}, the search space has {w}")
+        for c in self.cells:
+            wiring = {"in", f"node{c['node'] - 1}"} if c["node"] else {"in"}
+            if c["op"] not in SECOND_LEVEL_OPS or len(c["inputs"]) != 2 or not set(c["inputs"]) <= wiring:
+                raise ValueError(
+                    f"cell {c['cell']} node {c['node']}: {c['op']!r} on {c['inputs']} is not in the space"
+                )
+        _require_cell_inputs(space, self.first_level_edges)
+
+
+def _require_cell_inputs(space: SearchSpaceConfig, first_level_edges) -> None:
+    for dst in space.node_names[space.n_feature_nodes :]:
+        if not any(kept for _, d, kept in first_level_edges if d == dst):
+            raise DegenerateGenotypeError(f"no kept input edge into {dst}")
 
 
 def derive_architecture(state: SearchState, seed: int = 0, epoch: int = 0,
@@ -525,21 +558,18 @@ def derive_architecture(state: SearchState, seed: int = 0, epoch: int = 0,
     space = state.space
     names = space.node_names
     edges = space.first_level_edges()
-    probs = _softmax_rows(state.alpha)
+    probs = gumbel.softmax(state.alpha)
     id_col = FIRST_LEVEL_OPS.index("identity")
     zero_col = FIRST_LEVEL_OPS.index("zero")
     first = tuple(
         (names[src], names[dst], bool(probs[ei, id_col] > probs[ei, zero_col]))
         for ei, (src, dst) in enumerate(edges)
     )
-    for ci in range(space.n_cells):
-        dst_name = names[space.n_feature_nodes + ci]
-        if not any(kept for _, dst, kept in first if dst == dst_name):
-            raise DegenerateGenotypeError(f"no kept input edge into {dst_name}")
+    _require_cell_inputs(space, first)
 
     cells = []
-    gamma_probs = _softmax_rows(state.gamma)
-    beta_probs = _softmax_rows(state.beta)
+    gamma_probs = gumbel.softmax(state.gamma)
+    beta_probs = gumbel.softmax(state.beta)
     for ci in range(space.n_cells):
         for ni in range(space.nodes_per_cell):
             row = gamma_probs[state.gamma_row(ci, ni)]
@@ -554,23 +584,11 @@ def derive_architecture(state: SearchState, seed: int = 0, epoch: int = 0,
                 else:
                     tie = tie or bool(brow[0] == brow[1])
                     inputs.append("in" if src_idx == 0 else f"node{ni - 1}")
-            cells.append(
-                {
-                    "cell": ci,
-                    "node": ni,
-                    "op": SECOND_LEVEL_OPS[op_idx],
-                    "inputs": inputs,
-                    "tie": tie,
-                }
-            )
+            op = SECOND_LEVEL_OPS[op_idx]
+            cells.append({"cell": ci, "node": ni, "op": op, "inputs": inputs, "tie": tie})
     return Genotype(
-        first_level_edges=first,
-        cells=tuple(cells),
-        lam=space.lam,
-        k_samples=space.k_samples,
-        seed=seed,
-        epoch=epoch,
-        entropy_history_ref=entropy_history_ref,
+        first_level_edges=first, cells=tuple(cells), lam=space.lam, k_samples=space.k_samples,
+        seed=seed, epoch=epoch, entropy_history_ref=entropy_history_ref,
     )
 
 
@@ -586,91 +604,40 @@ def genotype_param_count(genotype: Genotype, space: SearchSpaceConfig) -> int:
 # discrete (derived) network: retraining and evaluation
 
 
-class DiscreteNetwork:
-    """The derived architecture with fresh weights; no sampling anywhere."""
+class DiscreteNetwork(_FusionWeights):
+    """The derived architecture with fresh weights; no sampling anywhere.
+
+    alpha/gamma/beta hold the genotype's picks as ints in SearchState's row
+    layout (edge: identity or zero; node: op index; slot: 0 cell input,
+    1 previous node), which the graph walker takes as hard choices.
+    """
 
     def __init__(self, genotype: Genotype, space: SearchSpaceConfig, rng: np.random.Generator):
+        genotype.check_fits(space)
         self.genotype = genotype
-        self.space = space
-        names = space.node_names
-        self.kept = {
-            dst: [names.index(src) for src, d, kept in genotype.first_level_edges if d == dst and kept]
-            for dst in names[space.n_feature_nodes :]
+        op_instances = {
+            (c["cell"], c["node"], c["op"]): OpInstance(descriptor(c["op"], space.channels), rng)
+            for c in genotype.cells
         }
-        self.node_specs = {}
-        for cell in genotype.cells:
-            inst = OpInstance(descriptor(cell["op"], space.channels), rng)
-            self.node_specs[(cell["cell"], cell["node"])] = (cell["op"], cell["inputs"], inst)
-        c = space.channels
-        self.head_w = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=(c, 2))
-        self.head_b = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=2)
-        self.taps = make_taps(space)
+        super().__init__(space, op_instances, rng)
+        # check_fits guarantees that edges and cells come in row order
+        edges = genotype.first_level_edges
+        self.alpha = np.array([FIRST_LEVEL_OPS.index("identity" if kept else "zero") for *_, kept in edges])
+        self.gamma = np.array([SECOND_LEVEL_OPS.index(c["op"]) for c in genotype.cells])
+        self.beta = np.array([0 if src == "in" else 1 for c in genotype.cells for src in c["inputs"]])
 
-    def params(self) -> dict:
-        out = {}
-        for (ci, ni), (name, _, inst) in sorted(self.node_specs.items()):
-            for k, w in enumerate(inst.weights):
-                out[f"cell{ci}.node{ni}.{name}.w{k}"] = w
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
+    params = _FusionWeights.omega_arrays
 
     def param_count(self) -> int:
         return int(sum(w.size for w in self.params().values()))
 
     def forward(self, tape, xa, xb):
-        space = self.space
-        leaves = {}
-        weight_tensors = {}
-        for (ci, ni), (name, _, inst) in sorted(self.node_specs.items()):
-            tensors = inst.make_tensors(tape)
-            weight_tensors[(ci, ni)] = tensors
-            for k, t in enumerate(tensors):
-                leaves[f"cell{ci}.node{ni}.{name}.w{k}"] = t
-        leaves["head.w"] = tape.tensor(self.head_w, requires_grad=True)
-        leaves["head.b"] = tape.tensor(self.head_b, requires_grad=True)
-
-        modal = [tape.constant(xa), tape.constant(xb)]
-        node_values = []
-        for fi in range(space.n_feature_nodes):
-            src = modal[0] if fi < space.n_image_features else modal[1]
-            tap = self.taps[fi]
-            if np.array_equal(tap, np.eye(space.channels)):
-                node_values.append(src)
-            else:
-                node_values.append(ops.channel_linear(src, tape.constant(tap)))
-
-        names = space.node_names
-        for ci in range(space.n_cells):
-            dst = names[space.n_feature_nodes + ci]
-            srcs = self.kept[dst]
-            in_c = node_values[srcs[0]]
-            for s in srcs[1:]:
-                in_c = ad.add(in_c, node_values[s])
-            prev = in_c
-            node_outputs = []
-            for ni in range(space.nodes_per_cell):
-                name, inputs, inst = self.node_specs[(ci, ni)]
-                operands = [in_c if src == "in" else prev for src in inputs]
-                out = inst.forward(tape, operands[0], operands[1], weight_tensors[(ci, ni)])
-                node_outputs.append(out)
-                prev = out
-            cell_out = node_outputs[0]
-            for extra in node_outputs[1:]:
-                cell_out = ad.add(cell_out, extra)
-            node_values.append(cell_out)
-
-        pooled = ad.mean_axis(node_values[-1], 2)
-        return _head_logits(tape, pooled, leaves["head.w"], leaves["head.b"]), leaves
+        return _walk(tape, self, self.arch_arrays(), xa, xb, None, "eval")
 
     def scores(self, xa, xb) -> np.ndarray:
         """Deterministic class-1 probabilities."""
-        tape = Tape()
-        logits, _ = self.forward(tape, xa, xb)
-        z = logits.data
-        m = z.max(axis=1, keepdims=True)
-        e = np.exp(z - m)
-        return (e / e.sum(axis=1, keepdims=True))[:, 1]
+        logits, _ = self.forward(Tape(), xa, xb)
+        return gumbel.softmax(logits.data)[:, 1]
 
 
 def train_discrete(net: DiscreteNetwork, train_split, schedule: TrainSchedule, rng) -> list:
@@ -685,16 +652,8 @@ def train_discrete(net: DiscreteNetwork, train_split, schedule: TrainSchedule, r
         batches = 0
         for start in range(0, n - schedule.batch_size + 1, schedule.batch_size):
             sel = order[start : start + schedule.batch_size]
-            tape = Tape()
-            logits, leaves = net.forward(tape, xa[sel], xb[sel])
-            loss = cross_entropy_loss(tape, logits, labels[sel])
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergedError(f"non-finite retrain loss {value}")
-            tape.backward(loss)
-            params = net.params()
-            opt.step(params, _collect_grads(leaves, params.keys()))
-            epoch_loss += value
+            batch = (xa[sel], xb[sel], labels[sel])
+            epoch_loss += _descend(net.forward, batch, opt, net.params(), "non-finite retrain loss {}")
             batches += 1
         losses.append(epoch_loss / max(batches, 1))
     return losses
@@ -840,11 +799,13 @@ def run_search(
 # checkpoints: zip of GRNT tensors (interchange) + exact f64 sidecars + manifest
 
 
+def _state_arrays(state: SearchState) -> dict:
+    taps = {f"tap.{ti}": tap for ti, tap in enumerate(state.taps)}
+    return {**state.arch_arrays(), **state.omega_arrays(), **taps}
+
+
 def _checkpoint_arrays(state: SearchState, w_opt: Adam, a_opt: Adam) -> dict:
-    arrays = dict(state.arch_arrays())
-    arrays.update(state.omega_arrays())
-    for ti, tap in enumerate(state.taps):
-        arrays[f"tap.{ti}"] = tap
+    arrays = _state_arrays(state)
     for prefix, opt in (("w_opt", w_opt), ("a_opt", a_opt)):
         for name, (m, v) in opt.moments.items():
             arrays[f"{prefix}.m.{name}"] = m
@@ -870,18 +831,8 @@ def save_checkpoint(path, state, w_opt, a_opt, rng, history, epoch, seed) -> Non
     with zipfile.ZipFile(path, "w") as zf:
         zf.writestr(entry("manifest.json"), json.dumps(manifest, indent=2, sort_keys=True))
         for name, arr in sorted(arrays.items()):
-            buf = io.BytesIO()
-            _write_grnt_bytes(buf, arr)
-            zf.writestr(entry(f"{name}.grnt"), buf.getvalue())
+            zf.writestr(entry(f"{name}.grnt"), tensor_io.tensor_bytes(arr))
             zf.writestr(entry(f"{name}.f64le"), np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _write_grnt_bytes(buf, arr) -> None:
-    arr32 = np.ascontiguousarray(arr, dtype=np.float32)
-    buf.write(tensor_io.MAGIC)
-    buf.write(struct.pack("<I", arr32.ndim))
-    buf.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-    buf.write(arr32.astype("<f4").tobytes(order="C"))
 
 
 def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule):
@@ -896,15 +847,8 @@ def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule):
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
     state = SearchState(space, np.random.default_rng(manifest["seed"]))
-    state.alpha[...] = arrays.pop("alpha")
-    state.gamma[...] = arrays.pop("gamma")
-    state.beta[...] = arrays.pop("beta")
-    omega = state.omega_arrays()
-    for name in list(arrays):
-        if name in omega:
-            omega[name][...] = arrays.pop(name)
-    for ti in range(len(state.taps)):
-        state.taps[ti][...] = arrays.pop(f"tap.{ti}")
+    for name, array in _state_arrays(state).items():
+        array[...] = arrays.pop(name)
 
     w_opt = Adam(schedule.weight_lr, weight_decay=schedule.weight_decay)
     a_opt = Adam(schedule.arch_lr)

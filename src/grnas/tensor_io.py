@@ -16,14 +16,17 @@ import numpy as np
 MAGIC = b"GRNT"
 
 
-def write_tensor(path, array) -> None:
-    """Write an array in the GRNT binary format (float32 payload)."""
+def tensor_bytes(array) -> bytes:
+    """The GRNT encoding of an array (float32 payload)."""
     arr = np.ascontiguousarray(array, dtype=np.float32)
+    header = MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+    return header + arr.astype("<f4").tobytes(order="C")
+
+
+def write_tensor(path, array) -> None:
+    """Write an array in the GRNT binary format."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+        fh.write(tensor_bytes(array))
 
 
 def read_tensor(path) -> np.ndarray:

@@ -227,6 +227,33 @@ class TestSearchCommand:
         total = conf["tp"] + conf["fp"] + conf["tn"] + conf["fn"]
         assert total == TINY_TASK["n_test"]
 
+    def test_eval_refuses_genotype_from_another_space(self, search_run, capsys):
+        _, _, out, tmp_path = search_run
+        cfg = write_config(
+            tmp_path,
+            "eval3.json",
+            {"task": TINY_TASK, "space": TINY_SPACE, "retrain": TINY_RETRAIN, "seed": 5},
+        )
+        space3 = SearchSpaceConfig(**TINY_SPACE, n_cells=3)
+        names = space3.node_names
+        g = Genotype(
+            first_level_edges=tuple((names[s], names[d], True) for s, d in space3.first_level_edges()),
+            cells=tuple(
+                {"cell": c, "node": n, "op": "linear_glu", "inputs": ["in", "in"], "tie": False}
+                for c in range(3)
+                for n in range(2)
+            ),
+            lam=0.5, k_samples=8, seed=5, epoch=3,
+        )
+        gpath = tmp_path / "three_cells.json"
+        gpath.write_text(g.to_json())
+        out_eval = tmp_path / "eval3"
+        code = main(["eval", "--config", cfg, "--genotype", str(gpath), "--out-dir", str(out_eval)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(gpath) in err and "Cell3" in err
+        assert not (out_eval / "metrics.json").exists()
+
     def test_resume_matches_uninterrupted(self, search_run):
         _, _, out, tmp_path = search_run
         short_cfg = write_config(
@@ -314,6 +341,15 @@ class TestAblationCommand:
         assert main(["ablation", "--config", cfg, "--out-dir", str(out)]) == 0
         lines = (out / "ablation.csv").read_text().strip().split("\n")
         assert len(lines) == 2
+
+
+@pytest.mark.parametrize("command", ["search", "eval", "gen-data"])
+def test_threads_only_where_read(command, capsys):
+    required = ["--genotype", "g.json"] if command == "eval" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2", *required])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -428,6 +429,77 @@ class TestGenotype:
         assert net.param_count() == genotype_param_count(g, space)
         # C=8: linear_glu 2*64, concat_fc 16*8+8, head 8*2+2
         assert genotype_param_count(g, space) == 128 + 136 + 18
+
+
+def mixed_genotype(space):
+    """A zero op, a dropped edge (I2 -> Cell1) and a node0-wired slot."""
+    names = space.node_names
+    edges = tuple(
+        (names[s], names[d], (names[s], names[d]) != ("I2", "Cell1"))
+        for s, d in space.first_level_edges()
+    )
+    cells = (
+        {"cell": 0, "node": 0, "op": "linear_glu", "inputs": ["in", "in"], "tie": False},
+        {"cell": 0, "node": 1, "op": "zero", "inputs": ["node0", "in"], "tie": False},
+        {"cell": 1, "node": 0, "op": "attention", "inputs": ["in", "in"], "tie": False},
+        {"cell": 1, "node": 1, "op": "concat_fc", "inputs": ["in", "node0"], "tie": False},
+    )
+    return Genotype(first_level_edges=edges, cells=cells, lam=0.5, k_samples=16, seed=0, epoch=0)
+
+
+class TestDiscreteNetwork:
+    def test_one_hot_search_eval_matches_discrete_forward(self):
+        # logits at +-30 towards the genotype make the eval-mode mixtures one-hot
+        # to ~1e-26, so the search network's eval pass is the derived network
+        space = tiny_space()
+        g = mixed_genotype(space)
+        net = DiscreteNetwork(g, space, np.random.default_rng(3))
+        state = SearchState(space, np.random.default_rng(4))
+        one_hot = {True: [30.0, -30.0], False: [-30.0, 30.0]}
+        for ei, (_, _, kept) in enumerate(g.first_level_edges):
+            state.alpha[ei] = one_hot[kept]
+        state.gamma[:] = -30.0
+        for row, cell in enumerate(g.cells):
+            state.gamma[row, SECOND_LEVEL_OPS.index(cell["op"])] = 30.0
+            for slot, src in enumerate(cell["inputs"]):
+                state.beta[2 * row + slot] = one_hot[src == "in"]
+        omega = state.omega_arrays()
+        for name, w in net.params().items():
+            omega[name][...] = w
+
+        splits = tiny_splits()
+        xa, xb = splits["test"].xa[:8], splits["test"].xb[:8]
+        searched, _ = network_forward(Tape(), state, xa, xb, None, "eval")
+        derived, _ = net.forward(Tape(), xa, xb)
+        assert np.max(np.abs(searched.data - derived.data)) < 1e-12
+        assert np.max(np.abs(derived.data)) > 1e-3  # the comparison is not vacuous
+
+    def test_refuses_extra_cell(self):
+        space = tiny_space()
+        g = sum_cell_genotype(dataclasses.replace(space, n_cells=3))
+        with pytest.raises(ValueError, match="Cell3"):
+            DiscreteNetwork(g, space, np.random.default_rng(0))
+
+    def test_refuses_missing_node(self):
+        space = tiny_space()
+        g = sum_cell_genotype(space)
+        g = Genotype(g.first_level_edges, g.cells[:1] + g.cells[2:], 0.1, 100, 0, 0)
+        with pytest.raises(ValueError, match=r"cell node 1 is \(1, 0\)"):
+            DiscreteNetwork(g, space, np.random.default_rng(0))
+
+    def test_refuses_foreign_wiring(self):
+        space = tiny_space()
+        g = sum_cell_genotype(space)
+        cells = (dict(g.cells[0], inputs=["in", "node3"]),) + g.cells[1:]
+        with pytest.raises(ValueError, match="node3"):
+            DiscreteNetwork(Genotype(g.first_level_edges, cells, 0.1, 100, 0, 0), space, None)
+
+    def test_refuses_cell_without_inputs(self):
+        space = tiny_space()
+        g = mixed_genotype(space)
+        edges = tuple((s, d, kept and d != "Cell2") for s, d, kept in g.first_level_edges)
+        with pytest.raises(DegenerateGenotypeError, match="Cell2"):
+            DiscreteNetwork(Genotype(edges, g.cells, 0.5, 16, 0, 0), space, None)
 
 
 @pytest.fixture(scope="module")

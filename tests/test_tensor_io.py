@@ -19,6 +19,15 @@ def test_binary_round_trip(tmp_path):
         assert np.array_equal(back, arr)
 
 
+def test_tensor_bytes_is_the_file_content(tmp_path):
+    rng = np.random.default_rng(2)
+    for arr in (rng.normal(size=(3,)), rng.normal(size=(2, 0, 4)), rng.normal(size=(2, 3, 4))):
+        path = tmp_path / "t.grnt"
+        tensor_io.write_tensor(path, arr)
+        assert path.read_bytes() == tensor_io.tensor_bytes(arr)
+        assert np.array_equal(tensor_io.read_tensor(path), np.asarray(arr, dtype=np.float32))
+
+
 def test_binary_layout(tmp_path):
     path = tmp_path / "t.grnt"
     tensor_io.write_tensor(path, np.arange(6, dtype=np.float64).reshape(2, 3))
