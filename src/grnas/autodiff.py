@@ -6,9 +6,10 @@ order.  Tensors are float64 throughout, immutable once recorded, and there
 is no broadcasting beyond scalar scaling: shape mismatches raise
 ``ShapeError`` carrying both shapes.
 
-Custom primitives can be added by computing a forward value and calling
-``tape.record`` with the adjoint closure; the search module uses this for
-its averaged tempered-softmax weights.
+Custom primitives are built like the ones here: compute a forward value and
+pass ``result`` an adjoint that takes the output's gradient and feeds the
+inputs' through ``accumulate``; the search module does this for its
+averaged tempered-softmax weights.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gumbel import softmax
 
 class ShapeError(ValueError):
     """Operand shapes incompatible for the requested primitive."""
@@ -90,17 +92,19 @@ class Tensor:
         return matmul(self, other)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad += g
 
 
-def _result(tape: Tape, data: np.ndarray, inputs, backward_builder) -> Tensor:
+def result(tape: Tape, data: np.ndarray, inputs, backward) -> Tensor:
+    """Wrap a forward value; ``backward(out.grad)`` runs on the way back, if
+    any input takes a gradient and the output received one."""
     out = Tensor(data, tape, any(t.requires_grad for t in inputs))
     if out.requires_grad:
-        tape.record(backward_builder(out))
+        tape.record(lambda: out.grad is None or backward(out.grad))
     return out
 
 
@@ -123,63 +127,37 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
-    tape = _same_tape(a, b)
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
+    def bw(g):
+        accumulate(a, g)
+        accumulate(b, g)
 
-        return run
-
-    return _result(tape, a.data + b.data, (a, b), bw)
+    return result(_same_tape(a, b), a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
-    tape = _same_tape(a, b)
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad)
-            _accumulate(b, -out.grad)
+    def bw(g):
+        accumulate(a, g)
+        accumulate(b, -g)
 
-        return run
-
-    return _result(tape, a.data - b.data, (a, b), bw)
+    return result(_same_tape(a, b), a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
-    tape = _same_tape(a, b)
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad * b.data)
-            _accumulate(b, out.grad * a.data)
+    def bw(g):
+        accumulate(a, g * b.data)
+        accumulate(b, g * a.data)
 
-        return run
-
-    return _result(tape, a.data * b.data, (a, b), bw)
+    return result(_same_tape(a, b), a.data * b.data, (a, b), bw)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, out.grad * s)
-
-        return run
-
-    return _result(a.tape, a.data * s, (a,), bw)
+    return result(a.tape, a.data * s, (a,), lambda g: accumulate(a, g * s))
 
 
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
@@ -189,16 +167,11 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     tape = _same_tape(a, s)
     sval = float(s.data.reshape(-1)[0])
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad * sval)
-            _accumulate(s, np.array(np.sum(out.grad * a.data)).reshape(s.data.shape))
+    def bw(g):
+        accumulate(a, g * sval)
+        accumulate(s, np.array(np.sum(g * a.data)).reshape(s.data.shape))
 
-        return run
-
-    return _result(tape, a.data * sval, (a, s), bw)
+    return result(tape, a.data * sval, (a, s), bw)
 
 
 def take(a: Tensor, index: int) -> Tensor:
@@ -206,17 +179,12 @@ def take(a: Tensor, index: int) -> Tensor:
     if a.data.ndim != 1:
         raise ShapeError(f"take: expected a vector, got shape {a.data.shape}")
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.data)
-            g[index] = float(out.grad)
-            _accumulate(a, g)
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[index] = float(g)
+        accumulate(a, full)
 
-        return run
-
-    return _result(a.tape, np.asarray(a.data[index]), (a,), bw)
+    return result(a.tape, np.asarray(a.data[index]), (a,), bw)
 
 
 def take_row(a: Tensor, index: int) -> Tensor:
@@ -224,44 +192,23 @@ def take_row(a: Tensor, index: int) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"take_row: expected a matrix, got shape {a.data.shape}")
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.data)
-            g[index] = out.grad
-            _accumulate(a, g)
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        accumulate(a, full)
 
-        return run
-
-    return _result(a.tape, a.data[index].copy(), (a,), bw)
+    return result(a.tape, a.data[index].copy(), (a,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, out.grad * y * (1.0 - y))
-
-        return run
-
-    return _result(a.tape, y, (a,), bw)
+    return result(a.tape, y, (a,), lambda g: accumulate(a, g * y * (1.0 - y)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # adjoint at exactly 0 is 0
-
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, out.grad * mask)
-
-        return run
-
-    return _result(a.tape, a.data * mask, (a,), bw)
+    return result(a.tape, a.data * mask, (a,), lambda g: accumulate(a, g * mask))
 
 
 # ---------------------------------------------------------------------------
@@ -275,46 +222,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
     if not ok:
         raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} incompatible")
-    tape = _same_tape(a, b)
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad @ bd.swapaxes(-1, -2))
-            _accumulate(b, ad.swapaxes(-1, -2) @ out.grad)
+    def bw(g):
+        accumulate(a, g @ bd.swapaxes(-1, -2))
+        accumulate(b, ad.swapaxes(-1, -2) @ g)
 
-        return run
-
-    return _result(tape, ad @ bd, (a, b), bw)
+    return result(_same_tape(a, b), ad @ bd, (a, b), bw)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, out.grad.transpose(inv))
-
-        return run
-
-    return _result(a.tape, a.data.transpose(axes), (a,), bw)
+    return result(a.tape, a.data.transpose(axes), (a,), lambda g: accumulate(a, g.transpose(inv)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
     old = a.data.shape
-
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, out.grad.reshape(old))
-
-        return run
-
-    return _result(a.tape, a.data.reshape(shape), (a,), bw)
+    shape = tuple(shape)
+    return result(a.tape, a.data.reshape(shape), (a,), lambda g: accumulate(a, g.reshape(old)))
 
 
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -326,20 +251,15 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     tape = _same_tape(a, b)
     split = a.data.shape[axis]
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            sl_a = [slice(None)] * out.grad.ndim
-            sl_a[axis] = slice(0, split)
-            sl_b = [slice(None)] * out.grad.ndim
-            sl_b[axis] = slice(split, None)
-            _accumulate(a, out.grad[tuple(sl_a)])
-            _accumulate(b, out.grad[tuple(sl_b)])
+    def bw(g):
+        sl_a = [slice(None)] * g.ndim
+        sl_a[axis] = slice(0, split)
+        sl_b = [slice(None)] * g.ndim
+        sl_b[axis] = slice(split, None)
+        accumulate(a, g[tuple(sl_a)])
+        accumulate(b, g[tuple(sl_b)])
 
-        return run
-
-    return _result(tape, np.concatenate([a.data, b.data], axis=axis), (a, b), bw)
+    return result(tape, np.concatenate([a.data, b.data], axis=axis), (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +267,10 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, np.full_like(a.data, float(out.grad)))
+    def bw(g):
+        accumulate(a, np.full_like(a.data, float(g)))
 
-        return run
-
-    return _result(a.tape, np.asarray(a.data.sum()), (a,), bw)
+    return result(a.tape, np.asarray(a.data.sum()), (a,), bw)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -362,14 +278,10 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
-    def bw(out):
-        def run():
-            if out.grad is not None:
-                _accumulate(a, np.broadcast_to(np.expand_dims(out.grad, axis), a.data.shape).copy())
+    def bw(g):
+        accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
-        return run
-
-    return _result(a.tape, a.data.sum(axis=axis), (a,), bw)
+    return result(a.tape, a.data.sum(axis=axis), (a,), bw)
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
@@ -377,21 +289,12 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def softmax_last(a: Tensor) -> Tensor:
-    z = a.data
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax(a.data)
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accumulate(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+    def bw(g):
+        accumulate(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
-        return run
-
-    return _result(a.tape, s, (a,), bw)
+    return result(a.tape, s, (a,), bw)
 
 
 def log_softmax_last(a: Tensor) -> Tensor:
@@ -400,16 +303,10 @@ def log_softmax_last(a: Tensor) -> Tensor:
     shifted = z - m
     y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-    def bw(out):
-        def run():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accumulate(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+    def bw(g):
+        accumulate(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
-        return run
-
-    return _result(a.tape, y, (a,), bw)
+    return result(a.tape, y, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Every command is reproducible: (config, seed) fully determines the emitted
 artifacts, and a RunManifest with content digests accompanies each run.
-Exit codes: 0 success, 2 config error, 3 statistical-assertion failure in
-bench mode.
+Exit codes: 0 success; 2 config error, including a genotype that does not
+fit the search space and a checkpoint that cannot resume the configured
+run; 3 statistical-assertion failure in bench mode; 4 search or training
+failed (a derived architecture left a cell without inputs, or a loss went
+non-finite).
 """
 
 from __future__ import annotations
@@ -37,11 +40,20 @@ from .estimators import (
     estimator_stats,
     means_within_pooled_se,
 )
-from .search import Genotype, genotype_param_count, retrain_and_eval, run_search
+from .search import (
+    CheckpointMismatchError,
+    DegenerateGenotypeError,
+    Genotype,
+    TrainingDivergedError,
+    genotype_param_count,
+    retrain_and_eval,
+    run_search,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSERTION = 3
+EXIT_FAILED = 4
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +240,19 @@ def cmd_search(args) -> int:
     manifest = RunManifest("search", cfg, cfg.seed)
     splits = data_mod.gen_synthetic_bimodal(cfg.task)
     ckpt_path = os.path.join(args.out_dir, "search.ckpt")
-    result = run_search(
-        splits["train"],
-        splits["val"],
-        cfg.space,
-        cfg.schedule,
-        cfg.seed,
-        checkpoint_path=ckpt_path,
-        checkpoint_every=args.checkpoint_every,
-        resume_from=args.resume,
-    )
+    try:
+        result = run_search(
+            splits["train"],
+            splits["val"],
+            cfg.space,
+            cfg.schedule,
+            cfg.seed,
+            checkpoint_path=ckpt_path,
+            checkpoint_every=args.checkpoint_every,
+            resume_from=args.resume,
+        )
+    except CheckpointMismatchError as err:
+        raise ConfigError(f"checkpoint {args.resume} cannot resume this run: {err}") from err
     entropy_csv = os.path.join(args.out_dir, "entropy.csv")
     _write_entropy_csv(entropy_csv, result.history)
     genotype = dataclasses.replace(result.genotype, entropy_history_ref="entropy.csv")
@@ -425,6 +440,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except (DegenerateGenotypeError, TrainingDivergedError) as err:
+        print(f"search or training failed: {err}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from . import kernels
 from .gumbel import (
     HardSample,
     PerturbedLogits,
-    conditional_perturbed_batch,
     gumbel_max_sample,
     perturb_logits,
     softmax,
@@ -91,15 +90,13 @@ class GradientEstimate:
 
 
 def _jvp(v, values, lam):
-    """v^T J for J the Jacobian of softmax(values/lam) w.r.t. the logits.
+    """v^T J for J the Jacobian of softmax(values/lam) w.r.t. the logits, per row.
 
-    Pairwise-difference form (1/lam) s_j sum_m s_m (v_j - v_m): equal to the
-    textbook s_j (v_j - <v, s>) via sum(s)=1, but a constant v annihilates
+    The K = 1 case of ``kernels.averaged_jvp``: a constant v annihilates
     exactly in floating point.
     """
-    s = softmax(np.asarray(values, dtype=np.float64) / lam, axis=-1)
-    dv = v[..., :, None] - v[..., None, :]
-    return s * np.einsum("...m,...jm->...j", s, dv) / lam
+    s = softmax(np.asarray(values, dtype=np.float64) / lam)
+    return kernels.averaged_jvp(s[..., None, :], v[..., :, None] - v[..., None, :], lam)
 
 
 def softmax_jacobian_vector_product(v, perturbed, lam: float) -> np.ndarray:
@@ -130,8 +127,9 @@ def grmc_gradient(obj, theta, config: EstimatorConfig, rng) -> GradientEstimate:
         raise ValueError(f"grmc_gradient requires kind='grmc', got {config.kind!r}")
     theta = validate_logits(theta)
     outcome = gumbel_max_sample(theta, rng)
-    values = conditional_perturbed_batch(theta, outcome.index, config.k_samples, rng)
-    grad = _jvp(obj.grad(outcome.onehot), values, config.lam).mean(axis=0)
+    s = kernels.posterior_softmax(theta, outcome.index, config.k_samples, config.lam, rng)
+    v = obj.grad(outcome.onehot)
+    grad = kernels.averaged_jvp(s, v[:, None] - v[None, :], config.lam)
     return GradientEstimate(grad_theta=grad, outcome=outcome, value=obj.value(outcome.onehot))
 
 
@@ -224,10 +222,7 @@ def estimator_stats(obj, theta, config: EstimatorConfig, trials: int, rng) -> Es
     f_table, g_table = enumerate_objective(obj, n)
     exact = exact_expectation_gradient(obj, theta)
 
-    u = rng.random((trials, n))
-    perturbations = theta[None, :] - np.log(
-        -np.log(np.clip(u, kernels.UNIFORM_EPS, 1.0 - kernels.UNIFORM_EPS))
-    )
+    perturbations = theta[None, :] - np.log(kernels.exponentials(rng.random((trials, n))))
     d_idx = np.argmax(perturbations, axis=1).astype(np.int64)
 
     if config.kind == "stgs":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import UNIFORM_EPS
+from .kernels import logsumexp as log_partition  # log Z(theta), re-exported
 
 EULER_MASCHERONI = 0.5772156649015329
 STANDARD_GUMBEL_VARIANCE = np.pi**2 / 6.0
@@ -83,15 +83,6 @@ def softmax(z, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_partition(theta) -> float:
-    """log Z(theta) = log sum_j exp(theta_j), max-subtracted."""
-    theta = np.asarray(theta, dtype=np.float64)
-    m = np.max(theta)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(theta - m))))
-
-
 def gumbel_pdf(x, params: GumbelParams = STANDARD):
     z = (np.asarray(x, dtype=np.float64) - params.mu) / params.beta
     return np.exp(-z - np.exp(-z)) / params.beta
@@ -108,11 +99,10 @@ def gumbel_icdf(u, params: GumbelParams = STANDARD):
     u is clamped to [UNIFORM_EPS, 1 - UNIFORM_EPS] before the double
     logarithm; values at or outside the open unit interval are rejected.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = np.array(u, dtype=np.float64)  # a copy: the clamp and logs write over it
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    clamped = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
-    out = -params.beta * np.log(-np.log(clamped)) + params.mu
+    out = -params.beta * np.log(kernels.exponentials(u)) + params.mu
     return float(out) if out.ndim == 0 else out
 
 
@@ -120,8 +110,7 @@ def sample_gumbel(n: int, params: GumbelParams = STANDARD, rng: np.random.Genera
     """n i.i.d. Gumbel(mu, beta) variates by inverse transform."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    u = np.clip(rng.random(n), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
-    return -params.beta * np.log(-np.log(u)) + params.mu
+    return -params.beta * np.log(kernels.exponentials(rng.random(n))) + params.mu
 
 
 def _onehot(index: int, n: int) -> np.ndarray:

@@ -13,7 +13,10 @@ uniforms and p = softmax(theta), one row is
 so the chosen coordinate is the row maximum by construction, and the
 tempered softmax of the values is (q / q_i)^(-1/lambda), normalised, with
 every ratio >= 1: no max subtraction is needed.  ``_posterior_q`` is the one
-implementation of this formula.
+implementation of this formula and ``tempered_softmax`` of its softmax.
+``averaged_jvp`` is the one Jacobian-vector product of the tempered softmax,
+averaged over K rows in the pairwise form, which the estimators (STGS as
+K = 1), ``grmc_stats`` and the search's mixture draw all use.
 
 Draw-order contract (per kernel call): uniform blocks are consumed whole,
 row-major, trial-major; no draws are interleaved within a trial.
@@ -33,15 +36,20 @@ UNIFORM_EPS = 1e-12  # clamp for the double-log transform; Eq-free: quantile is 
 _CHUNK_TRIALS = 256  # trials per vectorized block
 
 
-def _exponentials(u):
-    """Exp(1) variates -log(u) from clamped uniforms, written over ``u``."""
+def exponentials(u):
+    """Exp(1) variates -log(u) from clamped uniforms, written over ``u``.
+
+    -log of the result is the standard Gumbel variate of the same uniform.
+    """
     np.maximum(u, UNIFORM_EPS, out=u)  # np.clip, at half its call cost
     np.minimum(u, 1.0 - UNIFORM_EPS, out=u)
     np.log(u, out=u)
     return np.negative(u, out=u)
 
 
-def _logsumexp(theta):
+def logsumexp(theta):
+    """log sum_j exp(theta_j), max-subtracted."""
+    theta = np.asarray(theta, dtype=np.float64)
     m = theta.max()
     if not math.isfinite(m):
         return m
@@ -62,6 +70,31 @@ def _posterior_q(theta, log_z, e, at):
     return e, e_i
 
 
+def tempered_softmax(q, q_i, lam):
+    """softmax(values / lam) of posterior rows, from their q: (q / q_i)^(-1/lam), normalised.
+
+    ``q`` (..., N) is overwritten with the softmax; ``q_i`` (...) holds each
+    row's conditioned entry, as ``_posterior_q`` returns them.
+    """
+    q /= q_i[..., None]
+    q **= -1.0 / lam
+    q /= (q @ np.ones(q.shape[-1]))[..., None]  # row sums by matmul: far faster than sum(axis=-1)
+    return q
+
+
+def averaged_jvp(s, diff, lam):
+    """v^T J of the tempered softmax, averaged over the K rows of ``s``.
+
+    ``s`` (..., K, N) holds softmax rows and ``diff`` (..., N, N) the table
+    v_j - v_m.  Pairwise form: out_j = sum_m (s^T s)_jm (v_j - v_m) / (K lam),
+    equal to the mean of s_j (v_j - <v, s>) / lam over the rows, but a
+    constant v annihilates exactly in floating point.
+    """
+    pair = np.matmul(np.swapaxes(s, -1, -2), s)  # (..., j, m)
+    pair *= diff
+    return pair.sum(axis=-1) / (s.shape[-2] * lam)
+
+
 def posterior_values(theta, e, at):
     """Perturbed logits theta+G given the argmax, from Exp(1) rows ``e``.
 
@@ -69,7 +102,7 @@ def posterior_values(theta, e, at):
     ``_posterior_q``: ``(..., i)`` conditions every row on argmax == i.
     ``e`` (float64) is overwritten.
     """
-    log_z = _logsumexp(theta)
+    log_z = logsumexp(theta)
     q, _ = _posterior_q(theta, log_z, e, at)
     np.log(q, out=q)
     return np.subtract(log_z, q, out=q)
@@ -77,19 +110,25 @@ def posterior_values(theta, e, at):
 
 def gumbel_max_indices(theta, n, rng):
     """n Gumbel-max argmax draws over the categories of ``theta``."""
-    e = _exponentials(rng.random((n, theta.shape[0])))
+    e = exponentials(rng.random((n, theta.shape[0])))
     return np.argmax(theta - np.log(e, out=e), axis=1).astype(np.int64)
 
 
 def conditional_values(theta, index, k, rng):
     """k rows of perturbed logits theta+G conditioned on argmax == index."""
-    return posterior_values(theta, _exponentials(rng.random((k, theta.shape[0]))), (..., index))
+    return posterior_values(theta, exponentials(rng.random((k, theta.shape[0]))), (..., index))
+
+
+def posterior_softmax(theta, index, k, lam, rng):
+    """softmax(values / lam) of k posterior rows given argmax == index: (k, N)."""
+    e = exponentials(rng.random((k, theta.shape[0])))
+    return tempered_softmax(*_posterior_q(theta, logsumexp(theta), e, (..., index)), lam)
 
 
 def pooled_conditional(theta, n, rng):
     """n rows of (D ~ gumbel-max, then theta+G | D); returns (values, indices)."""
     idx = gumbel_max_indices(theta, n, rng)
-    e = _exponentials(rng.random((n, theta.shape[0])))
+    e = exponentials(rng.random((n, theta.shape[0])))
     return posterior_values(theta, e, (np.arange(n), idx)), idx
 
 
@@ -97,18 +136,16 @@ def grmc_stats(theta, d_idx, g_table, g_star, lam, k, rng):
     """Accumulate GRMC-K estimator trial statistics.
 
     Per trial t with forced outcome i = d_idx[t]: draw K conditional
-    perturbations and average the tempered softmax JVPs of g_table[i] in the
-    pairwise form out_j = sum_m M_jm (g_i[j] - g_i[m]) / (K lambda), where
-    M = s^T s sums the softmax outer products over the K rows.  A constant
-    g_table row annihilates exactly in floating point, not just in
-    expectation.  Returns (sum_g, sum_gsq, sum_se, sum_se2) where se is the
-    squared l2 deviation from g_star per trial.
+    perturbations and average the tempered softmax JVPs of g_table[i]
+    (``averaged_jvp``), so a constant g_table row annihilates exactly in
+    floating point, not just in expectation.  Returns (sum_g, sum_gsq,
+    sum_se, sum_se2) where se is the squared l2 deviation from g_star per
+    trial.
     """
     n_cat = theta.shape[0]
     trials = d_idx.shape[0]
-    log_z = _logsumexp(theta)
+    log_z = logsumexp(theta)
     diff = g_table[:, :, None] - g_table[:, None, :]  # (outcome i, j, m)
-    ones = np.ones(n_cat)
     block = np.empty((min(trials, _CHUNK_TRIALS), k, n_cat))
     sum_g = np.zeros(n_cat)
     sum_gsq = np.zeros(n_cat)
@@ -117,14 +154,9 @@ def grmc_stats(theta, d_idx, g_table, g_star, lam, k, rng):
     for start in range(0, trials, _CHUNK_TRIALS):
         idx = d_idx[start : start + _CHUNK_TRIALS]
         b = idx.shape[0]
-        e = _exponentials(rng.random(out=block[:b]))
-        s, q_i = _posterior_q(theta, log_z, e, (np.arange(b), slice(None), idx))
-        s /= q_i[:, :, None]
-        s **= -1.0 / lam
-        s /= (s @ ones)[:, :, None]  # row sums by matmul: far faster than sum(axis=2)
-        pair = np.matmul(s.transpose(0, 2, 1), s)  # (b, j, m)
-        pair *= diff[idx]
-        jvp = pair.sum(axis=2) / (k * lam)
+        e = exponentials(rng.random(out=block[:b]))
+        s = tempered_softmax(*_posterior_q(theta, log_z, e, (np.arange(b), slice(None), idx)), lam)
+        jvp = averaged_jvp(s, diff[idx], lam)
         sum_g += jvp.sum(axis=0)
         sum_gsq += (jvp * jvp).sum(axis=0)
         err = jvp - g_star[None, :]

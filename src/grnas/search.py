@@ -25,7 +25,7 @@ import functools
 import itertools
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .autodiff import Tape, Tensor
 from .metrics import MetricsReport, classification_report
 from .ops import FIRST_LEVEL_OPS, SECOND_LEVEL_OPS, OpInstance, descriptor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 GENOTYPE_VERSION = 1
 
 
@@ -45,6 +45,10 @@ class TrainingDivergedError(RuntimeError):
 
 class DegenerateGenotypeError(ValueError):
     """Raised when a derived architecture leaves a cell without inputs."""
+
+
+class CheckpointMismatchError(ValueError):
+    """Raised when a checkpoint cannot resume the requested run."""
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +226,12 @@ def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mo
         raise ValueError(f"mode must be 'search' or 'eval', got {mode!r}")
     theta = logits.data
     index = int(kernels.gumbel_max_indices(theta, 1, rng)[0])
-    values = kernels.conditional_values(theta, index, k, rng)  # (k, N), noise held fixed
-    scaled = values / lam
-    m = scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled - m)
-    s = e / e.sum(axis=1, keepdims=True)
-    weights = s.mean(axis=0)
-    out = Tensor(weights, tape, logits.requires_grad)
-    if out.requires_grad:
+    s = kernels.posterior_softmax(theta, index, k, lam, rng)  # (k, N), noise held fixed
 
-        def run():
-            if out.grad is None:
-                return
-            g = out.grad
-            inner = (s * (g[None, :] - (s * g[None, :]).sum(axis=1, keepdims=True))).mean(axis=0)
-            if logits.grad is None:
-                logits.grad = np.zeros_like(logits.data)
-            logits.grad += inner / lam
+    def bw(g):
+        ad.accumulate(logits, kernels.averaged_jvp(s, g[:, None] - g[None, :], lam))
 
-        tape.record(run)
-    return out
+    return ad.result(tape, s.mean(axis=0), (logits,), bw)
 
 
 def _choose(tape, choice, names, branch, lam, k, rng, mode):
@@ -735,7 +725,7 @@ def run_search(
     history = []
     start_epoch = 0
     if resume_from is not None:
-        state, w_opt, a_opt, rng, history, start_epoch = load_checkpoint(resume_from, space, schedule)
+        state, w_opt, a_opt, rng, history, start_epoch = load_checkpoint(resume_from, space, schedule, seed)
 
     n = min(len(train_split.labels), len(val_split.labels))
     per_epoch = max(n // schedule.batch_size, 1)
@@ -776,13 +766,13 @@ def run_search(
             snapshot = None
         genotype_trace.append((epoch + 1, snapshot))
         if checkpoint_path is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, state, w_opt, a_opt, rng, history, epoch + 1, seed)
+            save_checkpoint(checkpoint_path, state, w_opt, a_opt, rng, history, epoch + 1, seed, schedule)
         if _entropy_converged(history, schedule.entropy_tol, schedule.entropy_patience):
             break
 
     stopped = history[-1].epoch if history else 0
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, state, w_opt, a_opt, rng, history, stopped, seed)
+        save_checkpoint(checkpoint_path, state, w_opt, a_opt, rng, history, stopped, seed, schedule)
     genotype = derive_architecture(state, seed=seed, epoch=stopped)
     return SearchResult(
         state=state,
@@ -813,12 +803,14 @@ def _checkpoint_arrays(state: SearchState, w_opt: Adam, a_opt: Adam) -> dict:
     return arrays
 
 
-def save_checkpoint(path, state, w_opt, a_opt, rng, history, epoch, seed) -> None:
+def save_checkpoint(path, state, w_opt, a_opt, rng, history, epoch, seed, schedule) -> None:
     arrays = _checkpoint_arrays(state, w_opt, a_opt)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "epoch": epoch,
         "seed": seed,
+        "space": asdict(state.space),
+        "schedule": asdict(schedule),
         "rng_state": rng.bit_generator.state,
         "history": [r.as_row() for r in history],
         "tensors": {name: list(a.shape) for name, a in arrays.items()},
@@ -835,12 +827,31 @@ def save_checkpoint(path, state, w_opt, a_opt, rng, history, epoch, seed) -> Non
             zf.writestr(entry(f"{name}.f64le"), np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule):
-    """Restore (state, optimizers, rng, history, next_epoch) for exact resume."""
+def _check_resumes(manifest: dict, space, schedule, seed) -> None:
+    """Refuse a resume whose seed, space or schedule (``epochs`` aside) differs."""
+    if manifest["version"] != CHECKPOINT_VERSION:
+        raise CheckpointMismatchError(f"unsupported checkpoint version {manifest['version']!r}")
+    fields = [("seed", manifest["seed"], seed)] if seed is not None else []
+    for section, config in (("space", space), ("schedule", schedule)):
+        for name, value in asdict(config).items():
+            if name != "epochs":
+                fields.append((f"{section}.{name}", manifest[section][name], value))
+    for name, stored, value in fields:
+        if stored != value:
+            raise CheckpointMismatchError(
+                f"{name} is {stored!r} in the checkpoint but {value!r} in this run"
+            )
+
+
+def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule, seed=None):
+    """Restore (state, optimizers, rng, history, next_epoch) for exact resume.
+
+    Raises CheckpointMismatchError unless the checkpoint was written under
+    the same space, schedule (``epochs`` aside) and, when given, seed.
+    """
     with zipfile.ZipFile(path) as zf:
         manifest = json.loads(zf.read("manifest.json"))
-        if manifest["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {manifest['version']!r}")
+        _check_resumes(manifest, space, schedule, seed)
         arrays = {}
         for name, shape in manifest["tensors"].items():
             raw = zf.read(f"{name}.f64le")

@@ -18,9 +18,9 @@ MAGIC = b"GRNT"
 
 def tensor_bytes(array) -> bytes:
     """The GRNT encoding of an array (float32 payload)."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)
+    arr = np.asarray(array, dtype="<f4", order="C")  # keeps rank 0, unlike ascontiguousarray
     header = MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-    return header + arr.astype("<f4").tobytes(order="C")
+    return header + arr.tobytes(order="C")
 
 
 def write_tensor(path, array) -> None:

@@ -7,7 +7,14 @@ import pytest
 
 from grnas import tensor_io
 from grnas.cli import main, read_history_csv
-from grnas.search import Genotype, SearchSpaceConfig, genotype_param_count
+from grnas.search import (
+    DegenerateGenotypeError,
+    Genotype,
+    SearchSpaceConfig,
+    TrainingDivergedError,
+    TrainSchedule,
+    genotype_param_count,
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -295,6 +302,30 @@ class TestSearchCommand:
         assert sha(out_resumed / "genotype.json") == sha(out / "genotype.json")
         assert sha(out_resumed / "entropy.csv") == sha(out / "entropy.csv")
 
+    @pytest.mark.parametrize(
+        "section, field, was, now",
+        [("space", "lam", 0.5, 0.1), ("schedule", "weight_lr", TrainSchedule().weight_lr, 0.05)],
+    )
+    def test_resume_refuses_changed_config(self, search_run, capsys, section, field, was, now):
+        _, _, out, tmp_path = search_run
+        payload = {
+            "task": TINY_TASK,
+            "space": TINY_SPACE,
+            "schedule": TINY_SCHED,
+            "retrain": TINY_RETRAIN,
+            "seed": 5,
+        }
+        payload[section] = dict(payload[section], **{field: now})
+        cfg = write_config(tmp_path, f"drift_{field}.json", payload)
+        ckpt = out / "search.ckpt"
+        out_resumed = tmp_path / f"drift_{field}"
+        code = main(["search", "--config", cfg, "--out-dir", str(out_resumed), "--resume", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert f"{section}.{field} is {was!r} in the checkpoint but {now!r} in this run" in err
+        assert list(out_resumed.iterdir()) == []
+
 
 class TestAblationCommand:
     def test_grid_outputs(self, tmp_path):
@@ -341,6 +372,48 @@ class TestAblationCommand:
         assert main(["ablation", "--config", cfg, "--out-dir", str(out)]) == 0
         lines = (out / "ablation.csv").read_text().strip().split("\n")
         assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        ("search", "run_search", DegenerateGenotypeError("no kept input edge into Cell2")),
+        ("eval", "retrain_and_eval", TrainingDivergedError("retrain loss is nan")),
+        ("ablation", "run_search", TrainingDivergedError("search loss is inf")),
+    ],
+)
+def test_failed_run_exits_4(command, target, error, tmp_path, monkeypatch, capsys):
+    import grnas.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, target, fail)
+    payload = {"task": TINY_TASK, "space": TINY_SPACE, "retrain": TINY_RETRAIN, "seed": 5}
+    extra = []
+    if command == "eval":
+        space = SearchSpaceConfig(**TINY_SPACE)
+        names = space.node_names
+        g = Genotype(
+            first_level_edges=tuple((names[s], names[d], True) for s, d in space.first_level_edges()),
+            cells=tuple(
+                {"cell": c, "node": n, "op": "sum", "inputs": ["in", "in"], "tie": False}
+                for c in range(space.n_cells)
+                for n in range(space.nodes_per_cell)
+            ),
+            lam=0.5, k_samples=8, seed=5, epoch=3,
+        )
+        gpath = tmp_path / "g.json"
+        gpath.write_text(g.to_json())
+        extra = ["--genotype", str(gpath)]
+    else:
+        payload["schedule"] = TINY_SCHED
+    if command == "ablation":
+        payload.update(lambdas=[0.5], k_grid=[4])
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "out"), *extra]) == 4
+    err = capsys.readouterr().err
+    assert err == f"search or training failed: {error}\n"
 
 
 @pytest.mark.parametrize("command", ["search", "eval", "gen-data"])

@@ -9,6 +9,7 @@ from grnas import data, kernels, ops
 from grnas.autodiff import Tape, grad_check
 from grnas.search import (
     Adam,
+    CheckpointMismatchError,
     DegenerateGenotypeError,
     DiscreteNetwork,
     Genotype,
@@ -144,6 +145,59 @@ class TestMixedEdge:
         w = grmc_mixture_weights(tape, logits, lam, k, np.random.default_rng(11), "search")
         tape.backward(ad.sum_all(ad.mul(w, tape.constant(v))))
         assert np.allclose(logits.grad, expected, atol=1e-12)
+
+    @staticmethod
+    def _search_draw(theta, lam, k, v, rng):
+        tape = Tape()
+        logits = tape.tensor(theta, requires_grad=True)
+        w = grmc_mixture_weights(tape, logits, lam, k, rng, "search")
+        tape.backward(ad.sum_all(ad.mul(w, tape.constant(v))))
+        return w.data, logits.grad
+
+    @staticmethod
+    def _log_space_draw(theta, lam, k, v, rng):
+        """Reference: log-space posterior values, max-subtracted softmax, textbook JVP."""
+        n = theta.shape[0]
+        eps = kernels.UNIFORM_EPS
+        index = int(np.argmax(theta - np.log(-np.log(np.clip(rng.random(n), eps, 1 - eps)))))
+        log_e = np.log(-np.log(np.clip(rng.random((k, n)), eps, 1 - eps)))
+        log_z = np.logaddexp.reduce(theta)
+        values = -np.logaddexp(log_e - theta, log_e[:, [index]] - log_z)
+        values[:, index] = log_z - log_e[:, index]
+        z = values / lam
+        s = np.exp(z - z.max(axis=1, keepdims=True))
+        s /= s.sum(axis=1, keepdims=True)
+        grad = (s * (v - (s * v).sum(axis=1, keepdims=True))).mean(axis=0) / lam
+        return s.mean(axis=0), grad
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 100])
+    def test_mixture_matches_log_space_reference(self, n, lam, k):
+        cases = np.random.default_rng([n, k, int(lam * 10)])
+        for seed in range(10):
+            theta, v = cases.normal(size=n), cases.normal(size=n)
+            got = self._search_draw(theta, lam, k, v, np.random.default_rng(seed))
+            want = self._log_space_draw(theta, lam, k, v, np.random.default_rng(seed))
+            # the textbook JVP cancels where a weight nears 1 (errors up to 2e-16 x |v|/lam),
+            # so entries near 0 are held to an atol on that scale
+            for a, b, scale in zip(got, want, (1.0, np.max(np.abs(v)) / lam)):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14 * scale)
+
+    def test_constant_upstream_gradient_gives_exactly_zero(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            theta = rng.normal(size=5)
+            _, grad = self._search_draw(theta, 0.3, 100, np.full(5, 0.37), rng)
+            assert np.all(grad == 0.0)
+
+    def test_draws_a_hard_block_then_a_posterior_block(self):
+        for n, k in ((2, 1), (5, 100)):
+            rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+            self._search_draw(np.linspace(-1.0, 1.0, n), 0.5, k, np.ones(n), rng)
+            twin.random((1, n))
+            twin.random((k, n))
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_eval_mode_needs_no_rng_and_is_deterministic(self):
         tape = Tape()
@@ -553,6 +607,15 @@ class TestSearchLoop:
         assert np.array_equal(resumed.state.gamma, full.state.gamma)
         for name, arr in full.state.omega_arrays().items():
             assert np.array_equal(resumed.state.omega_arrays()[name], arr), name
+
+    def test_resume_refuses_another_seed(self, tmp_path):
+        splits = tiny_splits(n=48)
+        space = tiny_space(k_samples=8)
+        sched = TrainSchedule(epochs=1, batch_size=8)
+        ckpt = tmp_path / "c.ckpt"
+        run_search(splits["train"], splits["val"], space, sched, seed=9, checkpoint_path=ckpt)
+        with pytest.raises(CheckpointMismatchError, match="seed is 9 in the checkpoint but 10"):
+            run_search(splits["train"], splits["val"], space, sched, seed=10, resume_from=ckpt)
 
     def test_checkpoint_contains_grnt_views(self, tmp_path):
         import zipfile

@@ -28,6 +28,16 @@ def test_tensor_bytes_is_the_file_content(tmp_path):
         assert np.array_equal(tensor_io.read_tensor(path), np.asarray(arr, dtype=np.float32))
 
 
+def test_scalar_keeps_rank_zero(tmp_path):
+    raw = tensor_io.tensor_bytes(np.float64(1.5))
+    assert raw == b"GRNT" + struct.pack("<I", 0) + struct.pack("<f", 1.5)
+    path = tmp_path / "s.grnt"
+    tensor_io.write_tensor(path, np.float64(1.5))
+    back = tensor_io.read_tensor(path)
+    assert back.shape == ()
+    assert back == 1.5
+
+
 def test_binary_layout(tmp_path):
     path = tmp_path / "t.grnt"
     tensor_io.write_tensor(path, np.arange(6, dtype=np.float64).reshape(2, 3))
