@@ -92,10 +92,19 @@ class Tensor:
         return matmul(self, other)
 
 
-def accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
+def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
+    """Add ``g`` into ``t.grad[at]``, the whole gradient by default.  A whole
+    first write copies ``g`` once, laid out like ``t.data``: a transposed
+    gradient would round later BLAS products differently."""
+    if not t.requires_grad:
+        return
+    if at is not ...:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
+        t.grad[at] += g
+    elif t.grad is None:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
         t.grad += g
 
 
@@ -160,44 +169,34 @@ def scale(a: Tensor, s: float) -> Tensor:
     return result(a.tape, a.data * s, (a,), lambda g: accumulate(a, g * s))
 
 
-def scale_by(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar-shaped tensor (learnable scalar scale)."""
-    if s.data.size != 1:
-        raise ShapeError(f"scale_by: scalar operand must have one element, got {s.data.shape}")
-    tape = _same_tape(a, s)
-    sval = float(s.data.reshape(-1)[0])
+def weighted_sum(terms, w: Tensor, row=...) -> Tensor:
+    """sum_i w[row, i] * terms[i] over the terms that are not None.
+
+    ``row`` picks a weight row of a matrix ``w``; the default takes a vector
+    ``w`` whole.  One tape entry, with the arithmetic of scaling each term by
+    its weight and adding the products in order.
+    """
+    weights = w.data[row]
+    if weights.shape != (len(terms),):
+        raise ShapeError(f"weighted_sum: {len(terms)} terms but weights of shape {weights.shape}")
+    present = [(i, x) for i, x in enumerate(terms) if x is not None]
+    for _, x in present[1:]:
+        _require_same_shape(present[0][1], x, "weighted_sum")
+    out = None
+    for i, x in present:
+        term = x.data * weights[i]
+        out = term if out is None else out + term
 
     def bw(g):
-        accumulate(a, g * sval)
-        accumulate(s, np.array(np.sum(g * a.data)).reshape(s.data.shape))
+        gw = np.zeros(len(terms))
+        for i, x in reversed(present):
+            accumulate(x, g * weights[i])
+            # reduced in x's layout, as the product x * w was laid out
+            gw[i] = np.sum(np.multiply(g, x.data, out=np.empty_like(x.data)))
+        accumulate(w, gw, row)
 
-    return result(tape, a.data * sval, (a, s), bw)
-
-
-def take(a: Tensor, index: int) -> Tensor:
-    """Element of a 1-D tensor as a scalar-shaped tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"take: expected a vector, got shape {a.data.shape}")
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[index] = float(g)
-        accumulate(a, full)
-
-    return result(a.tape, np.asarray(a.data[index]), (a,), bw)
-
-
-def take_row(a: Tensor, index: int) -> Tensor:
-    """Row of a 2-D tensor as a vector tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_row: expected a matrix, got shape {a.data.shape}")
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        accumulate(a, full)
-
-    return result(a.tape, a.data[index].copy(), (a,), bw)
+    inputs = (w, *(x for _, x in present))
+    return result(_same_tape(*inputs), out, inputs, bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:

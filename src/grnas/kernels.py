@@ -22,7 +22,8 @@ Draw-order contract (per kernel call): uniform blocks are consumed whole,
 row-major, trial-major; no draws are interleaved within a trial.
 ``grmc_stats`` draws one (trials, K, N) block per chunk of ``_CHUNK_TRIALS``
 trials, in trial order, so its results do not depend on the chunk size
-beyond summation rounding.
+beyond summation rounding.  ``mixture_softmax`` draws nothing: it takes
+its caller's uniforms.
 """
 
 from __future__ import annotations
@@ -108,10 +109,15 @@ def posterior_values(theta, e, at):
     return np.subtract(log_z, q, out=q)
 
 
+def _gumbel_argmax(theta, e):
+    """Gumbel-max outcomes argmax(theta - log e) over the last axis; ``e``
+    holds Exp(1) rows and is overwritten."""
+    return np.argmax(theta - np.log(e, out=e), axis=-1)
+
+
 def gumbel_max_indices(theta, n, rng):
     """n Gumbel-max argmax draws over the categories of ``theta``."""
-    e = exponentials(rng.random((n, theta.shape[0])))
-    return np.argmax(theta - np.log(e, out=e), axis=1).astype(np.int64)
+    return _gumbel_argmax(theta, exponentials(rng.random((n, theta.shape[0])))).astype(np.int64)
 
 
 def conditional_values(theta, index, k, rng):
@@ -123,6 +129,20 @@ def posterior_softmax(theta, index, k, lam, rng):
     """softmax(values / lam) of k posterior rows given argmax == index: (k, N)."""
     e = exponentials(rng.random((k, theta.shape[0])))
     return tempered_softmax(*_posterior_q(theta, logsumexp(theta), e, (..., index)), lam)
+
+
+def mixture_softmax(theta, u, lam):
+    """The search's mixture draw for every row of ``theta`` (R, N): (R, K, N).
+
+    ``u`` (R, 1 + K, N) holds each row's uniforms, overwritten: a (1, N)
+    block whose Gumbel-max draws the hard outcome, then a (K, N) block of
+    posterior rows given it, whose tempered softmaxes are returned.
+    """
+    e = exponentials(u)
+    idx = _gumbel_argmax(theta, e[:, 0])
+    log_z = np.array([logsumexp(row) for row in theta])
+    at = (np.arange(theta.shape[0]), slice(None), idx)
+    return tempered_softmax(*_posterior_q(theta[:, None], log_z[:, None, None], e[:, 1:], at), lam)
 
 
 def pooled_conditional(theta, n, rng):

@@ -212,51 +212,56 @@ class SearchState(_FusionWeights):
 # relaxed mixtures
 
 
-def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mode: str) -> Tensor:
-    """Mixture weight vector over candidates for one edge/node.
+def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mode: str,
+                         uniforms=None) -> Tensor:
+    """Mixture weights over the candidates of every row of a logits vector or
+    matrix: one tensor of the logits' shape and one tape entry.
 
-    search: sample the hard outcome, draw k conditional perturbations, and
-    average the tempered softmaxes; the backward pass applies the averaged
-    softmax Jacobian at the same fixed perturbations.  eval: plain softmax
-    of the logits, no sampling, no temperature.
+    search: per row, sample the hard outcome, draw k conditional
+    perturbations, and average the tempered softmaxes; the backward pass
+    applies the averaged softmax Jacobians at the same fixed perturbations.
+    ``uniforms`` (rows, 1 + k, N) holds each row's (1, N) Gumbel-max block
+    and (k, N) posterior block, drawn from ``rng`` row after row when not
+    given.  eval: plain softmax of the logits, no sampling, no temperature.
     """
     if mode == "eval":
         return ad.softmax_last(logits)
     if mode != "search":
         raise ValueError(f"mode must be 'search' or 'eval', got {mode!r}")
-    theta = logits.data
-    index = int(kernels.gumbel_max_indices(theta, 1, rng)[0])
-    s = kernels.posterior_softmax(theta, index, k, lam, rng)  # (k, N), noise held fixed
+    theta = np.atleast_2d(logits.data)
+    if uniforms is None:
+        uniforms = rng.random((theta.shape[0], k + 1, theta.shape[1]))
+    s = kernels.mixture_softmax(theta, uniforms, lam)  # (rows, k, N), noise held fixed
 
     def bw(g):
-        ad.accumulate(logits, kernels.averaged_jvp(s, g[:, None] - g[None, :], lam))
+        g = g.reshape(theta.shape)
+        jvp = kernels.averaged_jvp(s, g[:, :, None] - g[:, None, :], lam)
+        ad.accumulate(logits, jvp.reshape(logits.shape))
 
-    return ad.result(tape, s.mean(axis=0), (logits,), bw)
+    return ad.result(tape, s.mean(axis=1).reshape(logits.shape), (logits,), bw)
 
 
 def _choose(tape, choice, names, branch, lam, k, rng, mode):
     """One choice among the candidates ``names``; ``branch(name)`` builds one.
 
-    A logits row mixes the candidates with grmc_mixture_weights under
-    ``mode``, skipping "zero" (exact zero contribution and zero weight
-    gradient); an int picks ``names[choice]`` outright.
+    ``choice`` is an int pick of ``names[choice]``, a logits row mixed here
+    with grmc_mixture_weights under ``mode``, or a (weights, row) pair from
+    a matrix the walker mixed at once.  A mixture is one weighted_sum that
+    skips "zero" (exact zero contribution and zero weight gradient).
     """
-    if not isinstance(choice, Tensor):
+    if isinstance(choice, Tensor):
+        choice = (grmc_mixture_weights(tape, choice, lam, k, rng, mode), ...)
+    if not isinstance(choice, tuple):
         return branch(names[choice])
-    w = grmc_mixture_weights(tape, choice, lam, k, rng, mode)
-    out = None
-    for i, name in enumerate(names):
-        if name != "zero":
-            term = ad.scale_by(branch(name), ad.take(w, i))
-            out = term if out is None else ad.add(out, term)
-    return out
+    w, row = choice
+    return ad.weighted_sum([None if name == "zero" else branch(name) for name in names], w, row)
 
 
 def mixed_edge_forward(tape, x: Tensor, edge_logits, lam, k, rng, mode):
     """Identity/Zero edge: the zero branch contributes exactly nothing.
 
-    ``edge_logits`` is a logits row or an int pick; a picked zero edge is
-    dropped and gives None.
+    ``edge_logits`` is a logits row, a (weights, row) pair or an int pick;
+    a picked zero edge is dropped and gives None.
     """
     return _choose(tape, edge_logits, FIRST_LEVEL_OPS, {"identity": x}.get, lam, k, rng, mode)
 
@@ -265,9 +270,10 @@ def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops, lam, k, rng, mod
     """One cell: beta-wired slots feed gamma-chosen ops; output sums nodes.
 
     inputs: already edge-transformed predecessor tensors (>= 1);
-    gamma_rows: per intermediate node, the (|ops|,) logits tensor or an op index;
-    beta_rows: per node, two slot choices, each (2,) logits or an int pick
-    of 0 (cell input node) or 1 (previous intermediate node);
+    gamma_rows: per intermediate node, the (|ops|,) logits tensor, a
+    (weights, row) pair or an op index;
+    beta_rows: per node, two slot choices, each (2,) logits, a (weights, row)
+    pair or an int pick of 0 (cell input node) or 1 (previous intermediate node);
     node_ops: per node, list of (name, callable(tape, x, y) -> Tensor).
     """
     if not inputs:
@@ -291,20 +297,54 @@ def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops, lam, k, rng, mod
 # the graph walker: search network, its eval mode and the derived network
 
 
+def _mixture_uniforms(net: _FusionWeights, logits: dict, rng) -> dict:
+    """A search forward's uniforms, one block cut into (rows, 1 + K, N) per
+    arch matrix.  Each row's slice sits where one-row draws in walk order
+    take it: per cell its alpha edges, then per node beta slot 0, beta slot 1
+    and gamma."""
+    space = net.space
+    width = {name: (space.k_samples + 1) * t.shape[1] for name, t in logits.items()}
+    starts = {name: np.empty(t.shape[0], dtype=np.int64) for name, t in logits.items()}
+    edges = space.first_level_edges()
+    offset = 0
+    for ci in range(space.n_cells):
+        rows = [("alpha", ei) for ei, (_, d) in enumerate(edges) if d == space.n_feature_nodes + ci]
+        for ni in range(space.nodes_per_cell):
+            rows += [("beta", net.beta_row(ci, ni, 0)), ("beta", net.beta_row(ci, ni, 1)),
+                     ("gamma", net.gamma_row(ci, ni))]
+        for name, row in rows:
+            starts[name][row] = offset
+            offset += width[name]
+    block = rng.random(offset)
+    return {
+        name: block[at[:, None] + np.arange(width[name])].reshape(len(at), space.k_samples + 1, -1)
+        for name, at in starts.items()
+    }
+
+
 def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str):
     """Forward pass over the fusion graph; returns (logits, weight leaves).
 
     ``choices`` maps alpha/gamma/beta, in SearchState's row layout, to
-    logits tensors, whose rows are mixed under ``mode``, or to int arrays
-    of a genotype's hard picks.  An op is looked up only when a choice
-    reaches it, so a derived ``net`` holds just its genotype's ops.
+    logits tensors, each mixed whole by one grmc_mixture_weights call under
+    ``mode``, or to int arrays of a genotype's hard picks.  An op is looked
+    up only when a choice reaches it, so a derived ``net`` holds just its
+    genotype's ops.
     """
     space = net.space
+    lam, k = space.lam, space.k_samples
     leaves, op_leaves = net.weight_leaves(tape)
+
+    if isinstance(choices["alpha"], Tensor):  # logits: each matrix's weights at once
+        uniforms = _mixture_uniforms(net, choices, rng) if mode == "search" else {}
+        choices = {
+            name: grmc_mixture_weights(tape, t, lam, k, rng, mode, uniforms.get(name))
+            for name, t in choices.items()
+        }
 
     def choice(name, row):
         source = choices[name]
-        return ad.take_row(source, row) if isinstance(source, Tensor) else int(source[row])
+        return (source, row) if isinstance(source, Tensor) else int(source[row])
 
     def bind(key):
         return lambda t, x, y: net.ops[key].forward(t, x, y, op_leaves[key])
@@ -316,7 +356,6 @@ def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str):
         eye = np.array_equal(tap, np.eye(space.channels))
         node_values.append(src if eye else ops.channel_linear(src, tape.constant(tap)))
 
-    lam, k = space.lam, space.k_samples
     edges = space.first_level_edges()
     nodes = range(space.nodes_per_cell)
     for ci in range(space.n_cells):
@@ -691,6 +730,11 @@ class SearchResult:
     genotype_trace: list = None  # (epoch, genotype JSON or None while degenerate)
 
 
+def _optimizers(schedule: TrainSchedule):
+    """Fresh (weight, architecture) optimizers of a search run."""
+    return Adam(schedule.weight_lr, weight_decay=schedule.weight_decay), Adam(schedule.arch_lr)
+
+
 def _entropy_converged(history, tol: float, patience: int) -> bool:
     if len(history) <= patience:
         return False
@@ -718,14 +762,14 @@ def run_search(
     continues a run so precisely that the final genotype matches the
     uninterrupted run.
     """
-    rng = np.random.default_rng(seed)
-    state = SearchState(space, rng)
-    w_opt = Adam(schedule.weight_lr, weight_decay=schedule.weight_decay)
-    a_opt = Adam(schedule.arch_lr)
-    history = []
-    start_epoch = 0
     if resume_from is not None:
         state, w_opt, a_opt, rng, history, start_epoch = load_checkpoint(resume_from, space, schedule, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        state = SearchState(space, rng)
+        w_opt, a_opt = _optimizers(schedule)
+        history = []
+        start_epoch = 0
 
     n = min(len(train_split.labels), len(val_split.labels))
     per_epoch = max(n // schedule.batch_size, 1)
@@ -861,8 +905,7 @@ def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule, see
     for name, array in _state_arrays(state).items():
         array[...] = arrays.pop(name)
 
-    w_opt = Adam(schedule.weight_lr, weight_decay=schedule.weight_decay)
-    a_opt = Adam(schedule.arch_lr)
+    w_opt, a_opt = _optimizers(schedule)
     w_opt.step_count = manifest["optimizer_steps"]["w_opt"]
     a_opt.step_count = manifest["optimizer_steps"]["a_opt"]
     for prefix, opt in (("w_opt", w_opt), ("a_opt", a_opt)):

@@ -151,14 +151,85 @@ def test_log_softmax_cross_entropy_gradient():
     assert res.max_rel_error < 1e-5
 
 
-def test_scale_by_and_take():
+def test_weighted_sum_gradients():
     rng = np.random.default_rng(19)
 
-    def fn(tape, w, x):
-        return ad.sum_all(ad.scale_by(x, ad.take(w, 1)))
+    def fn(tape, w, x0, x1, v):
+        mixed = ad.weighted_sum([x0, None, x1], w, 1)  # a skipped term gets no weight gradient
+        return ad.sum_all(ad.mul(mixed, ad.weighted_sum([x1, x0, None], v)))
 
-    res = grad_check(fn, [rng.normal(size=3), rng.normal(size=(2, 2))], step=1e-4)
-    assert res.max_rel_error < 1e-6
+    inputs = [rng.normal(size=s) for s in ((2, 3), (2, 2), (2, 2), 3)]
+    res = grad_check(fn, inputs, step=1e-4)
+    assert res.max_rel_error < 1e-6 and res.checked == 17
+
+
+def _scale_and_add_chain(terms, weights, g):
+    """The chain weighted_sum stands for, in numpy: each term scaled by a float
+    weight, the products added in order; backward in reverse, each term's
+    gradient laid out like the term.  Returns (out, grads by term id, weight grads)."""
+    present = [(i, x) for i, x in enumerate(terms) if x is not None]
+    out = None
+    for i, x in present:
+        product = x * float(weights[i])
+        out = product if out is None else out + product
+    grads, w_grad = {}, np.zeros(len(terms))
+    for i, x in reversed(present):
+        term_grad = np.zeros_like(x * float(weights[i]))
+        term_grad += g
+        grads[id(x)] = grads.get(id(x), np.zeros_like(x)) + term_grad * float(weights[i])
+        w_grad[i] = 0.0 + np.sum(term_grad * x)
+    return out, grads, w_grad
+
+
+@pytest.mark.parametrize("row", [..., 0, 2])
+def test_weighted_sum_is_the_scale_and_add_chain_bit_for_bit(row):
+    rng = np.random.default_rng(20)
+    shape = (6, 9, 7)
+    c_layout = rng.normal(size=shape)
+    transposed = rng.normal(size=(6, 7, 9)).transpose(0, 2, 1)  # same shape, another layout
+    other = rng.normal(size=shape)
+    # a skipped term, and a term thrice: its gradient sums in reverse term order
+    terms = [c_layout, None, transposed, c_layout, other, c_layout]
+    w_data = rng.random(6) if row is ... else rng.random((3, 6))
+    upstream = rng.normal(size=shape)
+
+    tape = Tape()
+    leaves = {id(x): tape.tensor(x, requires_grad=True) for x in (c_layout, transposed, other)}
+    w = tape.tensor(w_data, requires_grad=True)
+    out = ad.weighted_sum([None if x is None else leaves[id(x)] for x in terms], w, row)
+    tape.backward(ad.sum_all(ad.mul(out, tape.constant(upstream))))
+    # the transposed term's product must be reduced in its own layout, not the gradient's
+    assert out.data.strides != transposed.strides
+
+    want_out, want_grads, want_w = _scale_and_add_chain(terms, w_data[row], upstream)
+    assert np.array_equal(out.data, want_out)
+    for key, leaf in leaves.items():
+        assert np.array_equal(leaf.grad, want_grads[key])
+    want_w_grad = np.zeros_like(w_data)
+    want_w_grad[row] = want_w
+    assert np.array_equal(w.grad, want_w_grad)
+
+
+def test_weighted_sum_checks_shapes():
+    tape = Tape()
+    x = tape.tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        ad.weighted_sum([x, x], tape.tensor(np.ones(3)))
+    with pytest.raises(ShapeError):
+        ad.weighted_sum([x, tape.tensor(np.zeros((3, 2)))], tape.tensor(np.ones((1, 2))), 0)
+
+
+def test_accumulate_first_write_keeps_the_data_layout():
+    tape = Tape()
+    t = tape.tensor(np.zeros((3, 4)), requires_grad=True)
+    g = np.arange(12.0).reshape(4, 3).T  # a transposed view
+    ad.accumulate(t, g)
+    assert t.grad.strides == t.data.strides and np.array_equal(t.grad, g)
+    ad.accumulate(t, g)
+    assert np.array_equal(t.grad, 2.0 * g)
+    z = tape.tensor(np.zeros(1), requires_grad=True)
+    ad.accumulate(z, np.array([-0.0]))  # as 0 + g: a negative zero is stored as +0
+    assert not np.signbit(z.grad[0])
 
 
 def test_mean_axis_sum_axis():

@@ -6,6 +6,7 @@ import pytest
 
 from grnas import autodiff as ad
 from grnas import data, kernels, ops
+from grnas import search as search_module
 from grnas.autodiff import Tape, grad_check
 from grnas.search import (
     Adam,
@@ -18,6 +19,7 @@ from grnas.search import (
     TrainSchedule,
     bilevel_train_step,
     cell_forward,
+    cross_entropy_loss,
     derive_architecture,
     entropy,
     genotype_param_count,
@@ -224,6 +226,96 @@ def _fixed_candidates(tape_unused, channels, weight_tensors=None):
     return [(name, bind(name)) for name in SECOND_LEVEL_OPS]
 
 
+def _walk_order(space):
+    """(matrix, row) of each mixed choice in a forward: per cell its alpha
+    edges, then per node beta slot 0, beta slot 1 and gamma."""
+    order = []
+    edge = 0
+    for ci in range(space.n_cells):
+        n_in = space.n_feature_nodes + ci  # every predecessor feeds the cell
+        order += [("alpha", edge + j) for j in range(n_in)]
+        edge += n_in
+        for ni in range(space.nodes_per_cell):
+            row = ci * space.nodes_per_cell + ni
+            order += [("beta", 2 * row), ("beta", 2 * row + 1), ("gamma", row)]
+    return order
+
+
+class TestBatchedSearchForward:
+    """A search forward draws each arch matrix once and mixes each choice in one tape entry."""
+
+    @staticmethod
+    def _forward(space, state, rng, mode="search"):
+        """A training step's tape: the forward and its loss."""
+        x = np.random.default_rng(8).normal(size=(4, space.channels, space.length))
+        tape = Tape()
+        logits, _ = network_forward(tape, state, x, -x, rng, mode)
+        cross_entropy_loss(tape, logits, np.array([0, 1, 1, 0]))
+        return tape
+
+    @staticmethod
+    def _default_state():
+        space = SearchSpaceConfig()
+        state = SearchState(space, np.random.default_rng(0))
+        arch = np.random.default_rng(1)
+        for name, a in state.arch_arrays().items():
+            a[...] = arch.normal(size=a.shape)
+        return space, state
+
+    def test_stream_and_weights_are_those_of_one_row_draws(self, monkeypatch):
+        space, state = self._default_state()
+        drawn = {}
+
+        def record(tape, logits, *args, **kwargs):
+            w = grmc_mixture_weights(tape, logits, *args, **kwargs)
+            drawn[next(n for n, a in state.arch_arrays().items() if a is logits.data)] = w.data
+            return w
+
+        monkeypatch.setattr(search_module, "grmc_mixture_weights", record)
+        rng = np.random.default_rng(42)
+        self._forward(space, state, rng)
+        assert sorted(drawn) == ["alpha", "beta", "gamma"]
+
+        blocks, rows = np.random.default_rng(42), np.random.default_rng(42)
+        k = space.k_samples
+        for name, row in _walk_order(space):
+            theta = state.arch_arrays()[name][row]
+            blocks.random((1, theta.size))
+            blocks.random((k, theta.size))
+            tape = Tape()
+            want = grmc_mixture_weights(tape, tape.tensor(theta), space.lam, k, rows, "search")
+            assert np.array_equal(drawn[name][row], want.data), (name, row)
+        assert rng.bit_generator.state == blocks.bit_generator.state
+        assert rng.bit_generator.state == rows.bit_generator.state
+
+    def test_tape_entries_per_forward(self):
+        space, state = self._default_state()
+        choices = sum(len(a) for a in state.arch_arrays().values())
+        assert choices == 21
+        for mode in ("search", "eval"):
+            tape = self._forward(space, state, np.random.default_rng(3), mode)
+            # 135 entries for the ops, sums, head and loss; one per arch
+            # matrix for its weights; one weighted_sum per choice
+            assert len(tape._entries) == 135 + 3 + choices == 159, mode
+
+    def test_matrix_weights_match_row_weights_in_both_modes(self):
+        theta = np.random.default_rng(5).normal(size=(4, 5))
+        v = np.random.default_rng(6).normal(size=(4, 5))
+        for mode in ("search", "eval"):
+            tape = Tape()
+            logits = tape.tensor(theta, requires_grad=True)
+            w = grmc_mixture_weights(tape, logits, 0.3, 20, np.random.default_rng(7), mode)
+            tape.backward(ad.sum_all(ad.mul(w, tape.constant(v))))
+            rng = np.random.default_rng(7)
+            for r in range(4):
+                tape = Tape()
+                row = tape.tensor(theta[r], requires_grad=True)
+                w_row = grmc_mixture_weights(tape, row, 0.3, 20, rng, mode)
+                tape.backward(ad.sum_all(ad.mul(w_row, tape.constant(v[r]))))
+                assert np.array_equal(w.data[r], w_row.data), (mode, r)
+                assert np.array_equal(logits.grad[r], row.grad), (mode, r)
+
+
 class TestCellForward:
     def test_zero_mass_cell_outputs_zero(self):
         rng = np.random.default_rng(3)
@@ -363,18 +455,16 @@ class TestBilevel:
         # regression onto the input itself: only the identity branch helps
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 3, 2))
-        alpha = np.zeros((1, 2))
+        alpha = np.zeros(2)
         opt = Adam(2e-2)
         for _ in range(200):
             tape = Tape()
             alpha_t = tape.tensor(alpha, requires_grad=True)
-            out = mixed_edge_forward(
-                tape, tape.tensor(x), ad.take_row(alpha_t, 0), 0.5, 8, rng, "search"
-            )
+            out = mixed_edge_forward(tape, tape.tensor(x), alpha_t, 0.5, 8, rng, "search")
             diff = ad.sub(out, tape.constant(x))
             tape.backward(ad.mean_all(ad.mul(diff, diff)))
             opt.step({"alpha": alpha}, {"alpha": alpha_t.grad})
-        probs = np.exp(alpha[0]) / np.exp(alpha[0]).sum()
+        probs = np.exp(alpha) / np.exp(alpha).sum()
         assert probs[0] > 0.9
 
     def test_architecture_gradient_variance_shrinks_with_k(self):
@@ -607,6 +697,25 @@ class TestSearchLoop:
         assert np.array_equal(resumed.state.gamma, full.state.gamma)
         for name, arr in full.state.omega_arrays().items():
             assert np.array_equal(resumed.state.omega_arrays()[name], arr), name
+
+    def test_resume_builds_the_state_and_optimizers_once(self, tmp_path, monkeypatch):
+        splits = tiny_splits(n=48)
+        space = tiny_space(k_samples=8)
+        sched = TrainSchedule(epochs=2, batch_size=8, entropy_tol=0.0)
+        ckpt = tmp_path / "c.ckpt"
+        run_search(splits["train"], splits["val"], space, sched, seed=9, checkpoint_path=ckpt)
+        built = {"SearchState": 0, "Adam": 0}
+        for cls in (SearchState, Adam):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        resumed = run_search(splits["train"], splits["val"], space, sched, seed=9, resume_from=ckpt)
+        assert built == {"SearchState": 1, "Adam": 2}
+        assert resumed.stopped_epoch == 2
 
     def test_resume_refuses_another_seed(self, tmp_path):
         splits = tiny_splits(n=48)
