@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
@@ -112,12 +114,27 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _map_units(fn, count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)], on a pool of ``threads`` when above 1."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _map_units(fn, seed: int, units: list) -> list:
+    """[fn(unit, unit_seed) for each unit], in index order, on one process pool.
+
+    unit_seed depends only on (seed, index), so results do not depend on the
+    pool size. The first unit to raise cancels the queued ones and propagates.
+    """
+    workers = min(len(units), len(os.sched_getaffinity(0)))
+    # fork: the workers inherit the loaded modules, patched attributes
+    # included, instead of re-importing them; the command runs no thread of
+    # its own when the pool forks
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [
+            pool.submit(fn, unit, int(np.random.default_rng([seed, index]).integers(2**31)))
+            for index, unit in enumerate(units)
+        ]
+        for future in as_completed(futures):
+            future.result()  # the first unit to fail raises here, not after the others
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -134,54 +151,50 @@ def _bench_objective(kind: str, n: int):
     return QuadraticObjective(a, rng.normal(size=n))
 
 
+def run_unit(cfg: EstimatorBenchConfig, unit, unit_seed: int):
+    """One estimator-bench unit: STGS and GRMC-K at every K for one (objective, lambda)."""
+    obj_name, lam = unit
+    obj = _bench_objective(obj_name, cfg.n_categories)
+    theta = np.linspace(-0.5, 0.5, cfg.n_categories)
+    stgs = estimator_stats(
+        obj, theta, EstimatorConfig("stgs", lam), cfg.trials, np.random.default_rng(unit_seed)
+    )
+    rows = [
+        (
+            "stgs", lam, 1, cfg.trials, unit_seed, stgs.bias_sq, stgs.trace_variance,
+            stgs.mse, obj_name, "", stgs.ci_reliable,
+        )
+    ]
+    failures = []
+    for k in cfg.k_grid:
+        grmc = estimator_stats(
+            obj,
+            theta,
+            EstimatorConfig("grmc", lam, k),
+            cfg.trials,
+            np.random.default_rng(unit_seed),  # shared seed: common forward outcomes
+        )
+        ordering_ok = grmc.trace_variance <= stgs.trace_variance
+        mean_ok = means_within_pooled_se(stgs, grmc)
+        if not ordering_ok:
+            failures.append(f"variance ordering failed: {obj_name} lam={lam} K={k}")
+        if not mean_ok:
+            failures.append(f"mean equality failed: {obj_name} lam={lam} K={k}")
+        rows.append(
+            (
+                "grmc", lam, k, cfg.trials, unit_seed, grmc.bias_sq, grmc.trace_variance,
+                grmc.mse, obj_name, ordering_ok and mean_ok, grmc.ci_reliable,
+            )
+        )
+    return rows, failures
+
+
 def cmd_estimator_bench(args) -> int:
     cfg = _load_config(EstimatorBenchConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest("estimator-bench", cfg, cfg.seed)
-
-    theta = np.linspace(-0.5, 0.5, cfg.n_categories)
-    units = []
-    for obj_name in cfg.objectives:
-        for lam in cfg.lambdas:
-            units.append((obj_name, lam))
-
-    def run_unit(index):
-        obj_name, lam = units[index]
-        obj = _bench_objective(obj_name, cfg.n_categories)
-        unit_seed = int(np.random.default_rng([cfg.seed, index]).integers(2**31))
-        stgs = estimator_stats(
-            obj, theta, EstimatorConfig("stgs", lam), cfg.trials, np.random.default_rng(unit_seed)
-        )
-        rows = [
-            (
-                "stgs", lam, 1, cfg.trials, unit_seed, stgs.bias_sq, stgs.trace_variance,
-                stgs.mse, obj_name, "", stgs.ci_reliable,
-            )
-        ]
-        failures = []
-        for k in cfg.k_grid:
-            grmc = estimator_stats(
-                obj,
-                theta,
-                EstimatorConfig("grmc", lam, k),
-                cfg.trials,
-                np.random.default_rng(unit_seed),  # shared seed: common forward outcomes
-            )
-            ordering_ok = grmc.trace_variance <= stgs.trace_variance
-            mean_ok = means_within_pooled_se(stgs, grmc)
-            if not ordering_ok:
-                failures.append(f"variance ordering failed: {obj_name} lam={lam} K={k}")
-            if not mean_ok:
-                failures.append(f"mean equality failed: {obj_name} lam={lam} K={k}")
-            rows.append(
-                (
-                    "grmc", lam, k, cfg.trials, unit_seed, grmc.bias_sq, grmc.trace_variance,
-                    grmc.mse, obj_name, ordering_ok and mean_ok, grmc.ci_reliable,
-                )
-            )
-        return rows, failures
-
-    results = _map_units(run_unit, len(units), args.threads)
+    units = [(obj_name, lam) for obj_name in cfg.objectives for lam in cfg.lambdas]
+    results = _map_units(functools.partial(run_unit, cfg), cfg.seed, units)
 
     all_rows = [row for rows, _ in results for row in rows]
     all_failures = [f for _, fails in results for f in fails]
@@ -306,36 +319,39 @@ def cmd_eval(args) -> int:
 # ablation
 
 
+def run_cell(cfg: AblationConfig, splits, cell, cell_seed: int):
+    """One ablation cell: search at (lambda, K), then retrain the derived genotype.
+
+    Returns only what the outputs read: genotype, stopped epoch, MetricsReport.
+    """
+    lam, k = cell
+    space = dataclasses.replace(cfg.space, lam=lam, k_samples=k)
+    result = run_search(splits["train"], splits["val"], space, cfg.schedule, cell_seed)
+    report = retrain_and_eval(
+        result.genotype, splits, cfg.retrain, np.random.default_rng(cell_seed), space=space
+    )
+    return result.genotype, result.stopped_epoch, report
+
+
 def cmd_ablation(args) -> int:
     cfg = _load_config(AblationConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest("ablation", cfg, cfg.seed)
     splits = data_mod.gen_synthetic_bimodal(cfg.task)
     grid = [(lam, k) for lam in cfg.lambdas for k in cfg.k_grid]
-
-    def run_cell(index):
-        lam, k = grid[index]
-        space = dataclasses.replace(cfg.space, lam=lam, k_samples=k)
-        cell_seed = int(np.random.default_rng([cfg.seed, index]).integers(2**31))
-        result = run_search(splits["train"], splits["val"], space, cfg.schedule, cell_seed)
-        report = retrain_and_eval(
-            result.genotype, splits, cfg.retrain, np.random.default_rng(cell_seed), space=space
-        )
-        return result, report
-
-    outcomes = _map_units(run_cell, len(grid), args.threads)
+    outcomes = _map_units(functools.partial(run_cell, cfg, splits), cfg.seed, grid)
 
     rows = []
     genotype_files = []
-    for index, ((lam, k), (result, report)) in enumerate(zip(grid, outcomes)):
+    for (lam, k), (genotype, stopped_epoch, report) in zip(grid, outcomes):
         gpath = os.path.join(args.out_dir, f"genotype_lam{lam}_K{k}.json")
         with open(gpath, "w") as fh:
-            fh.write(result.genotype.to_json())
+            fh.write(genotype.to_json())
         genotype_files.append(gpath)
         rows.append(
             (
                 lam, k, report.auc, report.acc, report.param_count,
-                result.stopped_epoch, os.path.basename(gpath),
+                stopped_epoch, os.path.basename(gpath),
             )
         )
     csv_path = os.path.join(args.out_dir, "ablation.csv")
@@ -407,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimator-bench", help="variance/MSE benchmark over the lambda x K grid")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="thread pool size for the grid units")
     p.set_defaults(func=cmd_estimator_bench)
 
     p = sub.add_parser("search", help="run the bilevel architecture search")
@@ -424,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation", help="search+eval over the lambda x K grid")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="thread pool size for the grid cells")
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("gen-data", help="write synthetic bimodal feature files")

@@ -46,6 +46,8 @@ class EstimatorBenchConfig:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
         if self.n_categories < 2 or self.n_categories > 20:
             raise ValueError("n_categories must lie in [2, 20] (enumeration oracle bound)")
+        if not (self.lambdas and self.objectives):
+            raise ValueError("lambdas and objectives must not be empty")
         for obj in self.objectives:
             if obj not in ("linear", "quadratic"):
                 raise ValueError(f"unknown objective {obj!r}; use 'linear' or 'quadratic'")
@@ -73,6 +75,8 @@ class AblationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (self.lambdas and self.k_grid):
+            raise ValueError("lambdas and k_grid must not be empty")
         if any(l <= 0 for l in self.lambdas) or any(k < 1 for k in self.k_grid):
             raise ValueError("lambdas must be positive and k_grid entries >= 1")
 
@@ -81,7 +85,6 @@ class AblationConfig:
 class GenDataConfig:
     task: SynthTaskConfig = field(default_factory=SynthTaskConfig)
     prefix: str = "synthetic"
-    seed: int = 0
 
 
 @dataclass(frozen=True)

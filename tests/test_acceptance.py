@@ -394,7 +394,7 @@ def test_criterion_9_ablation_structural_echo(tmp_path):
         )
     )
     out = tmp_path / "ablation"
-    code = cli_main(["ablation", "--config", str(cfg), "--out-dir", str(out), "--threads", "2"])
+    code = cli_main(["ablation", "--config", str(cfg), "--out-dir", str(out)])
     lines = (out / "ablation.csv").read_text().strip().split("\n")
     rows_ok = code == 0 and len(lines) == 10
     genotypes_ok = True

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,6 +61,18 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, "c.json", {"trials": 1})
         assert main(["estimator-bench", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("estimator-bench", {"objectives": []}),
+            ("ablation", {"k_grid": []}),
+        ],
+    )
+    def test_empty_grid_exits_2(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "must not be empty" in capsys.readouterr().err
+
     def test_nested_unknown_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"task": {"n_trainn": 10}})
         assert main(["search", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
@@ -82,6 +97,24 @@ class TestGenData:
         main(["gen-data", "--config", cfg, "--out-dir", str(out2)])
         name = "synthetic_test_modality_b.grnt"
         assert sha(out1 / name) == sha(out2 / name)
+
+    def test_top_level_seed_refused(self, tmp_path, capsys):
+        # the data's only seed is task.seed; a top-level one would be ignored
+        cfg = write_config(tmp_path, "c.json", {"task": TINY_TASK, "seed": 7})
+        assert main(["gen-data", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown keys ['seed']" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_changes_data(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"task": TINY_TASK})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["gen-data", "--config", cfg, "--out-dir", str(out1)]) == 0
+        assert main(["gen-data", "--config", cfg, "--out-dir", str(out2), "--seed", "7"]) == 0
+        name = "synthetic_train_modality_a.grnt"
+        assert sha(out1 / name) != sha(out2 / name)
+        manifest = json.loads((out2 / "manifest.json").read_text())
+        assert manifest["seed"] == 7 and "seed" not in manifest["config"]
 
 
 class TestEstimatorBench:
@@ -110,15 +143,6 @@ class TestEstimatorBench:
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
         main(["estimator-bench", "--config", cfg, "--out-dir", str(out1)])
         main(["estimator-bench", "--config", cfg, "--out-dir", str(out2)])
-        assert sha(out1 / "estimator_bench.csv") == sha(out2 / "estimator_bench.csv")
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "c.json", dict(self.CFG, objectives=["linear", "quadratic"])
-        )
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        main(["estimator-bench", "--config", cfg, "--out-dir", str(out1), "--threads", "1"])
-        main(["estimator-bench", "--config", cfg, "--out-dir", str(out2), "--threads", "4"])
         assert sha(out1 / "estimator_bench.csv") == sha(out2 / "estimator_bench.csv")
 
     def test_degenerate_trials_flagged_unreliable(self, tmp_path):
@@ -343,7 +367,7 @@ class TestAblationCommand:
             },
         )
         out = tmp_path / "abl"
-        assert main(["ablation", "--config", cfg, "--out-dir", str(out), "--threads", "2"]) == 0
+        assert main(["ablation", "--config", cfg, "--out-dir", str(out)]) == 0
         lines = (out / "ablation.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 4  # header + 2x2 grid
         for line in lines[1:]:
@@ -416,13 +440,109 @@ def test_failed_run_exits_4(command, target, error, tmp_path, monkeypatch, capsy
     assert err == f"search or training failed: {error}\n"
 
 
-@pytest.mark.parametrize("command", ["search", "eval", "gen-data"])
-def test_threads_only_where_read(command, capsys):
+@pytest.mark.parametrize("command", ["estimator-bench", "search", "eval", "ablation", "gen-data"])
+def test_threads_refused(command, tmp_path, capsys):
     required = ["--genotype", "g.json"] if command == "eval" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2", *required])
+        main([command, "--threads", "2", "--config", str(tmp_path / "absent.json"), *required])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+BENCH_2_UNITS = dict(TestEstimatorBench.CFG, objectives=["linear", "quadratic"])
+ABLATION_2X2 = {
+    "task": TINY_TASK,
+    "space": TINY_SPACE,
+    "schedule": {"epochs": 2, "batch_size": 8},
+    "retrain": {"epochs": 3, "batch_size": 16},
+    "lambdas": [0.5, 1.0],
+    "k_grid": [4, 8],
+    "seed": 2,
+}
+
+
+def output_digests(out):
+    return {p.name: sha(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def test_pool_size_does_not_change_outputs(tmp_path, monkeypatch):
+    bench = write_config(tmp_path, "bench.json", BENCH_2_UNITS)
+    grid = write_config(tmp_path, "grid.json", ABLATION_2X2)
+    digests = {}
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        for command, cfg in (("estimator-bench", bench), ("ablation", grid)):
+            out = tmp_path / f"{command}_{cores}"
+            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 0
+            digests[command, cores] = output_digests(out)
+    assert len(digests["ablation", 1]) == 2 + 4  # csv, observations, 4 genotypes
+    for command in ("estimator-bench", "ablation"):
+        assert digests[command, 1] == digests[command, 4]
+
+
+def rig_bench_variance(monkeypatch):
+    import grnas.cli as cli_mod
+
+    real = cli_mod.estimator_stats
+
+    def rigged(obj, theta, config, trials, rng):
+        stats = real(obj, theta, config, trials, rng)
+        if config.kind == "grmc":
+            stats.trace_variance = 1e9
+        return stats
+
+    monkeypatch.setattr(cli_mod, "estimator_stats", rigged)
+
+
+def rig_search_failure(monkeypatch):
+    import grnas.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise TrainingDivergedError("search loss is inf")
+
+    monkeypatch.setattr(cli_mod, "run_search", fail)
+
+
+@pytest.mark.parametrize(
+    "command, payload, rig, code",
+    [
+        ("estimator-bench", BENCH_2_UNITS, None, 0),
+        ("estimator-bench", BENCH_2_UNITS, rig_bench_variance, 3),
+        ("ablation", ABLATION_2X2, None, 0),
+        ("ablation", ABLATION_2X2, rig_search_failure, 4),
+    ],
+    ids=["bench-ok", "bench-exit3", "ablation-ok", "ablation-exit4"],
+)
+def test_no_worker_left_behind(command, payload, rig, code, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if rig is not None:
+        rig(monkeypatch)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == code
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_unit_cancels_queued_units(tmp_path, monkeypatch):
+    import grnas.cli as cli_mod
+
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def slow_or_failing(train, val, space, schedule, seed):
+        (started / f"lam{space.lam}").touch()
+        if space.lam != 0.1:
+            time.sleep(0.5)
+        raise TrainingDivergedError("search loss is inf")
+
+    monkeypatch.setattr(cli_mod, "run_search", slow_or_failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    lambdas = [round(0.1 * i, 1) for i in range(1, 11)]
+    cfg = write_config(tmp_path, "c.json", dict(ABLATION_2X2, lambdas=lambdas, k_grid=[4]))
+    assert main(["ablation", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    # one worker: the first unit fails at once; the units already handed to the
+    # worker's call queue still run, the queued rest are cancelled
+    assert len(list(started.iterdir())) <= len(lambdas) // 2
+    assert multiprocessing.active_children() == []
 
 
 def test_console_entry_point(tmp_path):
@@ -435,3 +555,20 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "gen-data" in proc.stdout
+
+
+def test_grid_commands_as_module(tmp_path):
+    # under -m the unit functions pickle as __main__.run_unit / __main__.run_cell
+    for command, payload, csv, rows in (
+        ("estimator-bench", BENCH_2_UNITS, "estimator_bench.csv", 2 * 3),
+        ("ablation", ABLATION_2X2, "ablation.csv", 4),
+    ):
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        proc = subprocess.run(
+            [sys.executable, "-m", "grnas.cli", command, "--config", cfg, "--out-dir", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len((out / csv).read_text().strip().split("\n")) == 1 + rows
