@@ -8,8 +8,11 @@ is no broadcasting beyond scalar scaling: shape mismatches raise
 
 Custom primitives are built like the ones here: compute a forward value and
 pass ``result`` an adjoint that takes the output's gradient and feeds the
-inputs' through ``accumulate``; the search module does this for its
-averaged tempered-softmax weights.
+inputs' through ``accumulate``, computing a product only for an input that
+takes a gradient.  The fusion ops and the search's mixture weights, head
+and loss are such primitives, one tape entry each; a fused adjoint stores
+the gradient of each former intermediate with ``first_write``, as its own
+entry did, so it keeps the composite's bits.
 """
 
 from __future__ import annotations
@@ -92,10 +95,15 @@ class Tensor:
         return matmul(self, other)
 
 
+def first_write(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``g`` copied once, laid out like ``like``: a transposed gradient would
+    round later BLAS products differently (a -0 is stored as +0)."""
+    return np.add(g, 0.0, out=np.empty_like(like))
+
+
 def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
-    """Add ``g`` into ``t.grad[at]``, the whole gradient by default.  A whole
-    first write copies ``g`` once, laid out like ``t.data``: a transposed
-    gradient would round later BLAS products differently."""
+    """Add ``g`` into ``t.grad[at]``, the whole gradient by default; a whole
+    first write is ``first_write(g, t.data)``."""
     if not t.requires_grad:
         return
     if at is not ...:
@@ -103,7 +111,7 @@ def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
             t.grad = np.zeros_like(t.data)
         t.grad[at] += g
     elif t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        t.grad = first_write(g, t.data)
     else:
         t.grad += g
 
@@ -158,8 +166,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
 
     def bw(g):
-        accumulate(a, g * b.data)
-        accumulate(b, g * a.data)
+        if a.requires_grad:
+            accumulate(a, g * b.data)
+        if b.requires_grad:
+            accumulate(b, g * a.data)
 
     return result(_same_tape(a, b), a.data * b.data, (a, b), bw)
 
@@ -190,18 +200,26 @@ def weighted_sum(terms, w: Tensor, row=...) -> Tensor:
     def bw(g):
         gw = np.zeros(len(terms))
         for i, x in reversed(present):
-            accumulate(x, g * weights[i])
-            # reduced in x's layout, as the product x * w was laid out
-            gw[i] = np.sum(np.multiply(g, x.data, out=np.empty_like(x.data)))
+            if x.requires_grad:
+                accumulate(x, g * weights[i])
+            if w.requires_grad:
+                # reduced in x's layout, as the product x * w was laid out
+                gw[i] = np.multiply(g, x.data, out=np.empty_like(x.data)).sum()
         accumulate(w, gw, row)
 
     inputs = (w, *(x for _, x in present))
     return result(_same_tape(*inputs), out, inputs, bw)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) elementwise, without overflow: exp(-|x|) once."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = logistic(a.data)
     return result(a.tape, y, (a,), lambda g: accumulate(a, g * y * (1.0 - y)))
 
 
@@ -223,8 +241,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} incompatible")
 
     def bw(g):
-        accumulate(a, g @ bd.swapaxes(-1, -2))
-        accumulate(b, ad.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            accumulate(a, g @ bd.swapaxes(-1, -2))
+        if b.requires_grad:
+            accumulate(b, ad.swapaxes(-1, -2) @ g)
 
     return result(_same_tape(a, b), ad @ bd, (a, b), bw)
 

@@ -57,6 +57,15 @@ def logsumexp(theta):
     return m + math.log(np.exp(theta - m).sum())
 
 
+def row_logsumexp(theta):
+    """``logsumexp`` of each row of ``theta`` (R, N), bit for bit: the max, exp
+    and sum run once over all rows, the log per row by ``math.log`` (``np.log``
+    rounds differently)."""
+    m = theta.max(axis=-1)
+    sums = np.exp(theta - m[:, None]).sum(axis=-1)
+    return np.array([mi + math.log(si) if math.isfinite(mi) else mi for mi, si in zip(m.tolist(), sums.tolist())])
+
+
 def _posterior_q(theta, log_z, e, at):
     """Exponential-space posterior rows q (see the module docstring).
 
@@ -140,9 +149,10 @@ def mixture_softmax(theta, u, lam):
     """
     e = exponentials(u)
     idx = _gumbel_argmax(theta, e[:, 0])
-    log_z = np.array([logsumexp(row) for row in theta])
+    log_z = row_logsumexp(theta)
     at = (np.arange(theta.shape[0]), slice(None), idx)
-    return tempered_softmax(*_posterior_q(theta[:, None], log_z[:, None, None], e[:, 1:], at), lam)
+    post = np.ascontiguousarray(e[:, 1:])  # the in-place passes below are faster on a contiguous block
+    return tempered_softmax(*_posterior_q(theta[:, None], log_z[:, None, None], post, at), lam)
 
 
 def pooled_conditional(theta, n, rng):

@@ -3,8 +3,10 @@
 First level (unary, weight-free): Identity, Zero.  Second level (binary,
 all mapping a pair of N x C x L tensors to N x C x L): Zero, Sum,
 Attention (single-head scaled dot-product over the position axis),
-LinearGLU, and ConcatFC.  Each op is a differentiable tensor program over
-the autodiff primitives; learnable weights are owned by ``OpInstance``.
+LinearGLU, and ConcatFC.  Attention, LinearGLU, ConcatFC and
+``channel_linear`` are one autodiff primitive each, with the arithmetic of
+the transpose/reshape/matmul/... chain they replace; learnable weights are
+owned by ``OpInstance``.
 """
 
 from __future__ import annotations
@@ -16,26 +18,46 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .gumbel import softmax
 
 FIRST_LEVEL_OPS = ("identity", "zero")
 SECOND_LEVEL_OPS = ("zero", "sum", "attention", "linear_glu", "concat_fc")
 
 
+def _check_channels(x: Tensor, w: Tensor, op: str) -> None:
+    if w.shape[0] != x.shape[1]:
+        raise ShapeError(f"{op}: weight {w.shape} does not accept {x.shape[1]} channels")
+
+
+def _mix(x: np.ndarray, w: np.ndarray):
+    """Channel mixing of an (N, C, L) array: its (N * L, C) rows, their
+    product with ``w`` and the product's (N, C_out, L) view."""
+    n, c, length = x.shape
+    flat = x.transpose(0, 2, 1).reshape(n * length, c)
+    h = flat @ w
+    return flat, h, h.reshape(n, length, w.shape[1]).transpose(0, 2, 1)
+
+
+def _mix_bw(g, x: Tensor, w: Tensor, flat, h) -> None:
+    """Accumulate the gradients of ``_mix`` into w, then x, from its
+    output's gradient ``g``, with the transpose/reshape/matmul chain's
+    arithmetic and a ``first_write`` where each of its entries stored one."""
+    g_rows = g.transpose(0, 2, 1)  # (N, L, C_out)
+    g_h = ad.first_write(ad.first_write(g_rows, h.reshape(g_rows.shape)).reshape(h.shape), h)
+    if x.requires_grad:
+        g_flat = ad.first_write(g_h @ w.data.swapaxes(-1, -2), flat)
+    if w.requires_grad:
+        ad.accumulate(w, flat.swapaxes(-1, -2) @ g_h)
+    if x.requires_grad:
+        rows = x.data.transpose(0, 2, 1)
+        ad.accumulate(x, ad.first_write(g_flat.reshape(rows.shape), rows).transpose(0, 2, 1))
+
+
 def channel_linear(x: Tensor, w: Tensor) -> Tensor:
     """Apply a channel-mixing matrix (C_in x C_out) at every batch position."""
-    n, c, length = x.shape
-    if w.shape[0] != c:
-        raise ShapeError(f"channel_linear: weight {w.shape} does not accept {c} channels")
-    flat = ad.reshape(ad.transpose(x, (0, 2, 1)), (n * length, c))
-    h = ad.matmul(flat, w)
-    return ad.transpose(ad.reshape(h, (n, length, w.shape[1])), (0, 2, 1))
-
-
-def bias_rows(tape, rows: int, b: Tensor) -> Tensor:
-    # replicate a bias vector over rows via an explicit ones matmul
-    # (the engine has no broadcasting beyond scalar scaling)
-    ones = tape.constant(np.ones((rows, 1)))
-    return ad.matmul(ones, ad.reshape(b, (1, b.shape[0])))
+    _check_channels(x, w, "channel_linear")
+    flat, h, out = _mix(x.data, w.data)
+    return ad.result(x.tape, out, (x, w), lambda g: _mix_bw(g, x, w, flat, h))
 
 
 def _check_pair(x: Tensor, y: Tensor, op: str) -> None:
@@ -66,26 +88,89 @@ def op_attention(tape, x: Tensor, y: Tensor) -> Tensor:
     """
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"attention: channel counts {x.shape} and {y.shape} differ")
-    c = x.shape[1]
-    scores = ad.scale(ad.matmul(ad.transpose(x, (0, 2, 1)), y), 1.0 / math.sqrt(c))
-    attn = ad.softmax_last(scores)  # (N, Lq, Lk), normalized over keys
-    return ad.matmul(y, ad.transpose(attn, (0, 2, 1)))
+    scale = 1.0 / math.sqrt(x.shape[1])
+    queries = x.data.transpose(0, 2, 1)
+    scores = queries @ y.data
+    scaled = scores * scale
+    attn = softmax(scaled)  # (N, Lq, Lk), normalized over keys
+    attn_t = attn.transpose(0, 2, 1)
+
+    def bw(g):
+        if y.requires_grad:
+            ad.accumulate(y, g @ attn_t.swapaxes(-1, -2))
+        g_attn = ad.first_write(ad.first_write(y.data.swapaxes(-1, -2) @ g, attn_t).transpose(0, 2, 1), attn)
+        g_scaled = ad.first_write(attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)), scaled)
+        g_scores = ad.first_write(g_scaled * scale, scores)
+        if x.requires_grad:
+            g_queries = ad.first_write(g_scores @ y.data.swapaxes(-1, -2), queries)
+        if y.requires_grad:
+            ad.accumulate(y, queries.swapaxes(-1, -2) @ g_scores)
+        if x.requires_grad:
+            ad.accumulate(x, g_queries.transpose(0, 2, 1))
+
+    return ad.result(tape, y.data @ attn_t, (x, y), bw)
 
 
 def op_linear_glu(tape, x: Tensor, y: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """channel_linear(x, w1) gated by sigmoid(channel_linear(y, w2))."""
     _check_pair(x, y, "linear_glu")
-    return ad.mul(channel_linear(x, w1), ad.sigmoid(channel_linear(y, w2)))
+    _check_channels(x, w1, "channel_linear")
+    _check_channels(y, w2, "channel_linear")
+    flat_x, h_x, lin = _mix(x.data, w1.data)
+    flat_y, h_y, pre = _mix(y.data, w2.data)
+    gate = ad.logistic(pre)
+
+    def bw(g):
+        lin_grad = x.requires_grad or w1.requires_grad
+        if lin_grad:
+            g_lin = ad.first_write(g * gate, lin)
+        if y.requires_grad or w2.requires_grad:
+            g_gate = ad.first_write(g * lin, gate)
+            _mix_bw(ad.first_write(g_gate * gate * (1.0 - gate), pre), y, w2, flat_y, h_y)
+        if lin_grad:
+            _mix_bw(g_lin, x, w1, flat_x, h_x)
+
+    return ad.result(tape, lin * gate, (x, y, w1, w2), bw)
 
 
 def op_concat_fc(tape, x: Tensor, y: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """ReLU(W^T [x; y] + b) at every batch position."""
     _check_pair(x, y, "concat_fc")
-    joint = ad.concat(x, y, axis=1)  # (N, 2C, L)
+    joint = np.concatenate([x.data, y.data], axis=1)  # (N, 2C, L)
     n, c2, length = joint.shape
     if w.shape[0] != c2:
         raise ShapeError(f"concat_fc: weight {w.shape} does not accept {c2} channels")
-    flat = ad.reshape(ad.transpose(joint, (0, 2, 1)), (n * length, c2))
-    h = ad.add(ad.matmul(flat, w), bias_rows(tape, n * length, b))
-    return ad.transpose(ad.reshape(ad.relu(h), (n, length, w.shape[1])), (0, 2, 1))
+    rows = joint.transpose(0, 2, 1)
+    flat = rows.reshape(n * length, c2)
+    prod = flat @ w.data
+    ones = np.ones((n * length, 1))  # the bias replicated over rows by a ones matmul
+    b_row = b.data.reshape((1, b.shape[0]))
+    bias = ones @ b_row
+    pre = prod + bias
+    mask = pre > 0  # adjoint at exactly 0 is 0
+    act = pre * mask
+    out_rows = act.reshape((n, length, w.shape[1]))
+
+    def bw(g):
+        g_act = ad.first_write(ad.first_write(g.transpose(0, 2, 1), out_rows).reshape(act.shape), act)
+        g_pre = ad.first_write(g_act * mask, pre)
+        inputs_grad = x.requires_grad or y.requires_grad
+        if inputs_grad or w.requires_grad:
+            g_prod = ad.first_write(g_pre, prod)
+        if b.requires_grad:
+            g_b_row = ad.first_write(ones.swapaxes(-1, -2) @ ad.first_write(g_pre, bias), b_row)
+            ad.accumulate(b, g_b_row.reshape(b.shape))
+        if inputs_grad:
+            g_flat = ad.first_write(g_prod @ w.data.swapaxes(-1, -2), flat)
+        if w.requires_grad:
+            ad.accumulate(w, flat.swapaxes(-1, -2) @ g_prod)
+        if inputs_grad:
+            g_joint = ad.first_write(ad.first_write(g_flat.reshape(rows.shape), rows).transpose(0, 2, 1), joint)
+            half = x.shape[1]
+            ad.accumulate(x, g_joint[:, :half])
+            ad.accumulate(y, g_joint[:, half:])
+
+    return ad.result(tape, out_rows.transpose(0, 2, 1), (x, y, w, b), bw)
 
 
 @dataclass(frozen=True)
@@ -132,14 +217,9 @@ class OpInstance:
     def param_count(self) -> int:
         return self.descriptor.param_count
 
-    def make_tensors(self, tape) -> list:
-        return [tape.tensor(w, requires_grad=True) for w in self.weights]
-
-    def forward(self, tape, x: Tensor, y: Tensor = None, weight_tensors=None):
+    def forward(self, tape, x: Tensor, y: Tensor, weight_tensors):
+        """The second-level op on (x, y); ``weight_tensors`` are leaves of ``weights``."""
         name = self.descriptor.name
-        wt = weight_tensors if weight_tensors is not None else self.make_tensors(tape)
-        if name == "identity":
-            return op_identity(tape, x)
         if name == "zero":
             return op_zero(tape, x, y)
         if name == "sum":
@@ -147,7 +227,7 @@ class OpInstance:
         if name == "attention":
             return op_attention(tape, x, y)
         if name == "linear_glu":
-            return op_linear_glu(tape, x, y, wt[0], wt[1])
+            return op_linear_glu(tape, x, y, *weight_tensors)
         if name == "concat_fc":
-            return op_concat_fc(tape, x, y, wt[0], wt[1])
+            return op_concat_fc(tape, x, y, *weight_tensors)
         raise ValueError(f"unknown candidate operation {name!r}")

@@ -88,6 +88,12 @@ class SearchSpaceConfig:
             + [f"Cell{i + 1}" for i in range(self.n_cells)]
         )
 
+    def gamma_row(self, ci: int, ni: int) -> int:
+        return ci * self.nodes_per_cell + ni
+
+    def beta_row(self, ci: int, ni: int, slot: int) -> int:
+        return (ci * self.nodes_per_cell + ni) * 2 + slot
+
     def first_level_edges(self) -> list:
         """(src index, dst index) pairs: every cell sees all its predecessors."""
         edges = []
@@ -156,12 +162,6 @@ class _FusionWeights:
         self.head_b = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=2)
         self.taps = make_taps(space)
 
-    def gamma_row(self, ci: int, ni: int) -> int:
-        return ci * self.space.nodes_per_cell + ni
-
-    def beta_row(self, ci: int, ni: int, slot: int) -> int:
-        return (ci * self.space.nodes_per_cell + ni) * 2 + slot
-
     def _named_op_weights(self):
         for (ci, ni, name), inst in sorted(self.ops.items()):
             for k, w in enumerate(inst.weights):
@@ -173,9 +173,9 @@ class _FusionWeights:
         out["head.b"] = self.head_b
         return out
 
-    def weight_leaves(self, tape):
+    def weight_leaves(self, tape, requires_grad: bool):
         """(leaf tensor per omega_arrays name, each op's weight leaves by op key)."""
-        leaves = {name: tape.tensor(w, requires_grad=True) for name, w in self.omega_arrays().items()}
+        leaves = {name: tape.tensor(w, requires_grad) for name, w in self.omega_arrays().items()}
         by_op = {key: [] for key in self.ops}
         for key, name, _ in self._named_op_weights():
             by_op[key].append(leaves[name])
@@ -297,46 +297,55 @@ def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops, lam, k, rng, mod
 # the graph walker: search network, its eval mode and the derived network
 
 
-def _mixture_uniforms(net: _FusionWeights, logits: dict, rng) -> dict:
-    """A search forward's uniforms, one block cut into (rows, 1 + K, N) per
-    arch matrix.  Each row's slice sits where one-row draws in walk order
-    take it: per cell its alpha edges, then per node beta slot 0, beta slot 1
-    and gamma."""
-    space = net.space
-    width = {name: (space.k_samples + 1) * t.shape[1] for name, t in logits.items()}
-    starts = {name: np.empty(t.shape[0], dtype=np.int64) for name, t in logits.items()}
+@functools.lru_cache(maxsize=64)
+def _uniform_cuts(space: SearchSpaceConfig, shapes: tuple):
+    """Where a search forward's one uniform block is cut: its length, and per
+    arch matrix of ``shapes`` ((name, (rows, N)), ...) the (rows, 1 + K, N)
+    index of its rows' uniforms.  Each row's slice sits where one-row draws
+    in walk order take it: per cell its alpha edges, then per node beta slot
+    0, beta slot 1 and gamma."""
+    width = {name: (space.k_samples + 1) * n for name, (_, n) in shapes}
+    starts = {name: np.empty(rows, dtype=np.int64) for name, (rows, _) in shapes}
     edges = space.first_level_edges()
     offset = 0
     for ci in range(space.n_cells):
         rows = [("alpha", ei) for ei, (_, d) in enumerate(edges) if d == space.n_feature_nodes + ci]
         for ni in range(space.nodes_per_cell):
-            rows += [("beta", net.beta_row(ci, ni, 0)), ("beta", net.beta_row(ci, ni, 1)),
-                     ("gamma", net.gamma_row(ci, ni))]
+            rows += [("beta", space.beta_row(ci, ni, 0)), ("beta", space.beta_row(ci, ni, 1)),
+                     ("gamma", space.gamma_row(ci, ni))]
         for name, row in rows:
             starts[name][row] = offset
             offset += width[name]
-    block = rng.random(offset)
-    return {
-        name: block[at[:, None] + np.arange(width[name])].reshape(len(at), space.k_samples + 1, -1)
-        for name, at in starts.items()
-    }
+    cuts = {}
+    for name, (rows, n) in shapes:
+        cuts[name] = (starts[name][:, None] + np.arange(width[name])).reshape(rows, space.k_samples + 1, n)
+        cuts[name].flags.writeable = False  # shared by every forward in this space
+    return offset, cuts
 
 
-def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str):
+def _mixture_uniforms(space: SearchSpaceConfig, logits: dict, rng) -> dict:
+    """A search forward's uniforms: one block, cut into (rows, 1 + K, N) per
+    arch matrix of ``logits`` at ``_uniform_cuts``."""
+    size, cuts = _uniform_cuts(space, tuple((name, t.shape) for name, t in logits.items()))
+    block = rng.random(size)
+    return {name: block[at] for name, at in cuts.items()}
+
+
+def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str, omega_grads: bool = True):
     """Forward pass over the fusion graph; returns (logits, weight leaves).
 
     ``choices`` maps alpha/gamma/beta, in SearchState's row layout, to
     logits tensors, each mixed whole by one grmc_mixture_weights call under
     ``mode``, or to int arrays of a genotype's hard picks.  An op is looked
     up only when a choice reaches it, so a derived ``net`` holds just its
-    genotype's ops.
+    genotype's ops.  The weight leaves take gradients iff ``omega_grads``.
     """
     space = net.space
     lam, k = space.lam, space.k_samples
-    leaves, op_leaves = net.weight_leaves(tape)
+    leaves, op_leaves = net.weight_leaves(tape, omega_grads)
 
     if isinstance(choices["alpha"], Tensor):  # logits: each matrix's weights at once
-        uniforms = _mixture_uniforms(net, choices, rng) if mode == "search" else {}
+        uniforms = _mixture_uniforms(space, choices, rng) if mode == "search" else {}
         choices = {
             name: grmc_mixture_weights(tape, t, lam, k, rng, mode, uniforms.get(name))
             for name, t in choices.items()
@@ -365,8 +374,8 @@ def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str):
             for ei, (src, d) in enumerate(edges)
             if d == dst
         ]
-        gamma_rows = [choice("gamma", net.gamma_row(ci, ni)) for ni in nodes]
-        beta_rows = [[choice("beta", net.beta_row(ci, ni, slot)) for slot in range(2)] for ni in nodes]
+        gamma_rows = [choice("gamma", space.gamma_row(ci, ni)) for ni in nodes]
+        beta_rows = [[choice("beta", space.beta_row(ci, ni, slot)) for slot in range(2)] for ni in nodes]
         node_ops = [[(name, bind((ci, ni, name))) for name in SECOND_LEVEL_OPS] for ni in nodes]
         node_values.append(
             cell_forward(
@@ -375,22 +384,67 @@ def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str):
             )
         )
 
-    pooled = ad.mean_axis(node_values[-1], 2)
-    bias = ops.bias_rows(tape, pooled.shape[0], leaves["head.b"])
-    return ad.add(ad.matmul(pooled, leaves["head.w"]), bias), leaves
+    return _head(tape, node_values[-1], leaves["head.w"], leaves["head.b"]), leaves
 
 
-def network_forward(tape, state: SearchState, xa, xb, rng, mode: str):
-    """Search-space forward pass; returns (logits tensor, leaf tensor dict)."""
-    arch = {name: tape.tensor(a, requires_grad=True) for name, a in state.arch_arrays().items()}
-    logits, leaves = _walk(tape, state, arch, xa, xb, rng, mode)
+def _head(tape, v: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Class logits mean_L(v) @ w + b, one tape entry with the arithmetic of
+    mean_axis, a ones-matmul bias, matmul and add."""
+    scale = 1.0 / v.shape[2]
+    sums = v.data.sum(axis=2)
+    pooled = sums * scale
+    ones = np.ones((pooled.shape[0], 1))
+    b_row = b.data.reshape((1, b.shape[0]))
+    bias = ones @ b_row
+    prod = pooled @ w.data
+
+    def bw(g):
+        g_prod = ad.first_write(g, prod)
+        if v.requires_grad:
+            g_pooled = ad.first_write(g_prod @ w.data.swapaxes(-1, -2), pooled)
+        if w.requires_grad:
+            ad.accumulate(w, pooled.swapaxes(-1, -2) @ g_prod)
+        if b.requires_grad:
+            g_b_row = ad.first_write(ones.swapaxes(-1, -2) @ ad.first_write(g, bias), b_row)
+            ad.accumulate(b, g_b_row.reshape(b.shape))
+        if v.requires_grad:
+            g_sums = ad.first_write(g_pooled * scale, sums)
+            ad.accumulate(v, np.broadcast_to(np.expand_dims(g_sums, 2), v.shape).copy())
+
+    return ad.result(tape, prod + bias, (v, w, b), bw)
+
+
+def network_forward(tape, state: SearchState, xa, xb, rng, mode: str, grads: str = "all"):
+    """Search-space forward pass; returns (logits tensor, leaf tensor dict).
+
+    ``grads`` names the leaves that take gradients: "omega" (the op and head
+    weights), "arch" (alpha, gamma, beta) or "all".  The forward values and
+    the draws from ``rng`` do not depend on it.
+    """
+    if grads not in ("omega", "arch", "all"):
+        raise ValueError(f"grads must be 'omega', 'arch' or 'all', got {grads!r}")
+    arch = {name: tape.tensor(a, grads != "omega") for name, a in state.arch_arrays().items()}
+    logits, leaves = _walk(tape, state, arch, xa, xb, rng, mode, grads != "arch")
     return logits, {**arch, **leaves}
 
 
 def cross_entropy_loss(tape, logits: Tensor, labels) -> Tensor:
+    """Mean cross-entropy of two-class logits, one tape entry with the
+    arithmetic of log_softmax_last, a one-hot mul, sum_all and scale."""
     onehot = np.eye(2)[np.asarray(labels, dtype=np.int64)]
-    logp = ad.log_softmax_last(logits)
-    return ad.scale(ad.sum_all(ad.mul(logp, tape.constant(onehot))), -1.0 / labels.shape[0])
+    z = logits.data
+    shifted = z - z.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = logp * onehot
+    total = np.asarray(picked.sum())
+    scale = -1.0 / labels.shape[0]
+
+    def bw(g):
+        g_total = ad.first_write(g * scale, total)
+        g_logp = ad.first_write(ad.first_write(np.full_like(picked, float(g_total)), picked) * onehot, logp)
+        ad.accumulate(logits, g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True))
+
+    return ad.result(tape, total * scale, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +506,20 @@ def _descend(forward, batch, opt: Adam, params: dict, failure: str) -> float:
 def bilevel_train_step(state, train_batch, val_batch, schedule, rng, w_opt, a_opt):
     """One alternation: weights on the train batch, architecture on the val batch.
 
+    Each step's forward takes gradients only for the group it updates.
     Returns (train_loss, val_loss).  Raises TrainingDivergedError on
     non-finite losses.
     """
 
-    def forward(tape, xa, xb):
-        return network_forward(tape, state, xa, xb, rng, "search")
+    def forward(grads):
+        return lambda tape, xa, xb: network_forward(tape, state, xa, xb, rng, "search", grads)
 
     train_loss = _descend(
-        forward, train_batch, w_opt, state.omega_arrays(), "non-finite train loss {} at weight update"
+        forward("omega"), train_batch, w_opt, state.omega_arrays(), "non-finite train loss {} at weight update"
     )
     val_loss = _descend(
-        forward, val_batch, a_opt, state.arch_arrays(), "non-finite validation loss {} at architecture update"
+        forward("arch"), val_batch, a_opt, state.arch_arrays(),
+        "non-finite validation loss {} at architecture update",
     )
     return train_loss, val_loss
 
@@ -601,12 +657,12 @@ def derive_architecture(state: SearchState, seed: int = 0, epoch: int = 0,
     beta_probs = gumbel.softmax(state.beta)
     for ci in range(space.n_cells):
         for ni in range(space.nodes_per_cell):
-            row = gamma_probs[state.gamma_row(ci, ni)]
+            row = gamma_probs[space.gamma_row(ci, ni)]
             op_idx = int(np.argmax(row))
             tie = bool(np.sum(row == row[op_idx]) > 1)
             inputs = []
             for slot in range(2):
-                brow = beta_probs[state.beta_row(ci, ni, slot)]
+                brow = beta_probs[space.beta_row(ci, ni, slot)]
                 src_idx = int(np.argmax(brow))
                 if ni == 0:
                     inputs.append("in")  # both candidates coincide: a tie here is structural

@@ -120,6 +120,17 @@ def test_batched_matmul_and_transpose():
     assert res.max_rel_error < 1e-4
 
 
+def test_logistic_is_the_three_exp_formula_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        x = rng.normal(size=(4, 6, 5)) * scale
+        x[0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        for view in (x, x.transpose(0, 2, 1)):
+            a = np.abs(view)
+            want = np.where(view >= 0, 1.0 / (1.0 + np.exp(-a)), np.exp(-a) / (1.0 + np.exp(-a)))
+            assert np.array_equal(ad.logistic(view), want), scale
+
+
 def test_concat_reshape_sigmoid_pipeline():
     rng = np.random.default_rng(15)
     w = rng.normal(size=(6, 2))

@@ -188,3 +188,14 @@ def test_neg_inf_logits_are_never_drawn():
         theta, np.array([0, 2, 2, 0]), np.eye(4), np.zeros(4), 0.5, 50, rng
     )
     assert all(np.all(np.isfinite(x)) for x in sums)
+
+
+def test_row_logsumexp_is_logsumexp_per_row_bit_for_bit():
+    rng = np.random.default_rng(40)
+    for _ in range(2000):
+        rows, n = rng.integers(1, 10), rng.integers(2, 8)
+        theta = rng.normal(size=(rows, n)) * rng.choice([1e-3, 1.0, 30.0, 700.0])
+        theta[rng.random(theta.shape) < 0.05] = -np.inf  # never a whole row: its max is finite
+        theta[np.arange(rows), rng.integers(0, n, rows)] = rng.normal(size=rows)
+        want = np.array([kernels.logsumexp(row) for row in theta])
+        assert np.array_equal(kernels.row_logsumexp(theta), want), theta

@@ -188,7 +188,7 @@ class TestDescriptors:
         for name in ops.SECOND_LEVEL_OPS:
             inst = ops.OpInstance(ops.descriptor(name, 3), np.random.default_rng(0))
             tape = Tape()
-            out = inst.forward(tape, tape.tensor(xa), tape.tensor(ya))
+            out = inst.forward(tape, tape.tensor(xa), tape.tensor(ya), [tape.tensor(w) for w in inst.weights])
             assert out.shape == (2, 3, 4), name
 
     def test_weight_shapes_and_counts(self):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -221,7 +222,7 @@ def _fixed_candidates(tape_unused, channels, weight_tensors=None):
     }
 
     def bind(name):
-        return lambda t, a, b: insts[name].forward(t, a, b)
+        return lambda t, a, b: insts[name].forward(t, a, b, [t.tensor(w) for w in insts[name].weights])
 
     return [(name, bind(name)) for name in SECOND_LEVEL_OPS]
 
@@ -245,11 +246,11 @@ class TestBatchedSearchForward:
     """A search forward draws each arch matrix once and mixes each choice in one tape entry."""
 
     @staticmethod
-    def _forward(space, state, rng, mode="search"):
+    def _forward(space, state, rng, mode="search", grads="all"):
         """A training step's tape: the forward and its loss."""
         x = np.random.default_rng(8).normal(size=(4, space.channels, space.length))
         tape = Tape()
-        logits, _ = network_forward(tape, state, x, -x, rng, mode)
+        logits, _ = network_forward(tape, state, x, -x, rng, mode, grads)
         cross_entropy_loss(tape, logits, np.array([0, 1, 1, 0]))
         return tape
 
@@ -292,11 +293,19 @@ class TestBatchedSearchForward:
         space, state = self._default_state()
         choices = sum(len(a) for a in state.arch_arrays().values())
         assert choices == 21
+        # both groups: one weighted_sum per choice, one entry per arch matrix
+        # for its weights, 16 fusion ops (sum, attention, linear_glu and
+        # concat_fc at 4 nodes), 9 adds (7 into cell inputs, 1 per cell over
+        # its nodes), the head and the loss.  The weight step leaves off what
+        # sees only constants: the 3 weight matrices, 8 feature-edge choices,
+        # 6 of the input adds, and the first node's 2 slot choices, sum and
+        # attention.
+        want = {"all": choices + 3 + 16 + 9 + 2, "arch": 51, "omega": 51 - 3 - 8 - 6 - 4}
+        assert want == {"all": 51, "arch": 51, "omega": 30}
         for mode in ("search", "eval"):
-            tape = self._forward(space, state, np.random.default_rng(3), mode)
-            # 135 entries for the ops, sums, head and loss; one per arch
-            # matrix for its weights; one weighted_sum per choice
-            assert len(tape._entries) == 135 + 3 + choices == 159, mode
+            for grads, count in want.items():
+                tape = self._forward(space, state, np.random.default_rng(3), mode, grads)
+                assert len(tape._entries) == count, (mode, grads)
 
     def test_matrix_weights_match_row_weights_in_both_modes(self):
         theta = np.random.default_rng(5).normal(size=(4, 5))
@@ -413,6 +422,40 @@ class TestBilevel:
             assert np.array_equal(getattr(state, name), arr), name
         for name, arr in state.omega_arrays().items():
             assert np.array_equal(arr, omega_before[name]), name
+
+    def test_each_step_takes_gradients_only_for_its_group(self, monkeypatch):
+        space = SearchSpaceConfig(k_samples=16)
+        splits = tiny_splits(channels=16, length=8)
+        state = SearchState(space, np.random.default_rng(0))
+        batches = [
+            (s.xa[:8], s.xb[:8], s.labels[:8]) for s in (splits["train"], splits["val"])
+        ]
+        real = network_forward
+        calls = []
+
+        def record(tape, st, xa, xb, rng, mode, grads="all"):
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            snapshot = copy.deepcopy(st)
+            logits, leaves = real(tape, st, xa, xb, rng, mode, grads)
+            calls.append((grads, leaves, snapshot, twin))
+            return logits, leaves
+
+        monkeypatch.setattr(search_module, "network_forward", record)
+        bilevel_train_step(
+            state, *batches, TrainSchedule(), np.random.default_rng(1), Adam(3e-3), Adam(2e-2)
+        )
+        assert [grads for grads, *_ in calls] == ["omega", "arch"]
+        arch_names = set(state.arch_arrays())
+        for (grads, leaves, snapshot, twin), (xa, xb, labels) in zip(calls, batches):
+            stepped = arch_names if grads == "arch" else set(leaves) - arch_names
+            for name, leaf in leaves.items():
+                assert (leaf.grad is not None) == (name in stepped), (grads, name)
+            tape = Tape()
+            logits, both = real(tape, snapshot, xa, xb, twin, "search")
+            tape.backward(cross_entropy_loss(tape, logits, labels))
+            for name in stepped:
+                assert np.array_equal(leaves[name].grad, both[name].grad), (grads, name)
 
     def test_divergence_raises_with_context(self):
         from grnas.search import TrainingDivergedError
