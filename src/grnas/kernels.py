@@ -12,18 +12,28 @@ uniforms and p = softmax(theta), one row is
 
 so the chosen coordinate is the row maximum by construction, and the
 tempered softmax of the values is (q / q_i)^(-1/lambda), normalised, with
-every ratio >= 1: no max subtraction is needed.  ``_posterior_q`` is the one
+every ratio >= 1: no max subtraction is needed.  q is odd in E, so the
+softmax may run on -E = log(u) and skip the negation: every product, sum and
+ratio is the same up to sign, bit for bit.  ``_posterior_q`` is the one
 implementation of this formula and ``tempered_softmax`` of its softmax.
+E_i is spread along the last axis once and serves both the add
+and the divide as contiguous passes: a pass that broadcasts an operand along
+an innermost axis of length N costs 2-4x a contiguous one.  The row sums
+stay broadcast: a second block-sized temporary per pass costs more in page
+faults than it saves.
 ``averaged_jvp`` is the one Jacobian-vector product of the tempered softmax,
 averaged over K rows in the pairwise form, which the estimators (STGS as
 K = 1), ``grmc_stats`` and the search's mixture draw all use.
 
 Draw-order contract (per kernel call): uniform blocks are consumed whole,
 row-major, trial-major; no draws are interleaved within a trial.
-``grmc_stats`` draws one (trials, K, N) block per chunk of ``_CHUNK_TRIALS``
-trials, in trial order, so its results do not depend on the chunk size
-beyond summation rounding.  ``mixture_softmax`` draws nothing: it takes
-its caller's uniforms.
+``grmc_stats`` draws one (trials, K, N) block per sub-block of at most
+``_SUB_BLOCK_ENTRIES`` entries (512 KiB, inside L2), in trial order, so the
+stream is that of one block for all trials and its results do not depend on
+the sub-block size.  It reduces its statistics per chunk of
+``_CHUNK_TRIALS`` trials, so they depend on the chunk size through summation
+rounding only.  ``mixture_softmax`` draws nothing: it takes its caller's
+uniforms.
 """
 
 from __future__ import annotations
@@ -34,7 +44,14 @@ import numpy as np
 
 UNIFORM_EPS = 1e-12  # clamp for the double-log transform; Eq-free: quantile is singular at 0/1
 
-_CHUNK_TRIALS = 256  # trials per vectorized block
+_CHUNK_TRIALS = 256  # trials per reduction of the GRMC-K statistics
+_SUB_BLOCK_ENTRIES = 65536  # entries per GRMC-K posterior pass
+
+
+def log_uniforms(u):
+    """log(u) of clamped uniforms, written over ``u``: the negated Exp(1) variates."""
+    np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS, out=u)
+    return np.log(u, out=u)
 
 
 def exponentials(u):
@@ -42,10 +59,7 @@ def exponentials(u):
 
     -log of the result is the standard Gumbel variate of the same uniform.
     """
-    np.maximum(u, UNIFORM_EPS, out=u)  # np.clip, at half its call cost
-    np.minimum(u, 1.0 - UNIFORM_EPS, out=u)
-    np.log(u, out=u)
-    return np.negative(u, out=u)
+    return np.negative(log_uniforms(u), out=u)
 
 
 def logsumexp(theta):
@@ -66,27 +80,30 @@ def row_logsumexp(theta):
     return np.array([mi + math.log(si) if math.isfinite(mi) else mi for mi, si in zip(m.tolist(), sums.tolist())])
 
 
-def _posterior_q(theta, log_z, e, at):
+def _posterior_q(e, inv_p, at):
     """Exponential-space posterior rows q (see the module docstring).
 
-    ``e`` is an (..., N) block of Exp(1) variates, overwritten with q, and
-    ``at`` indexes the conditioned coordinate of every row, so that ``e[at]``
-    has shape ``e.shape[:-1]``.  Returns ``(q, q_i)``.
+    ``e`` is an (..., N) block of Exp(1) variates, or of their negatives
+    (giving -q), overwritten with q; ``inv_p`` holds 1/p = exp(log Z - theta)
+    broadcast against it.  ``at`` indexes the conditioned coordinate of every
+    row, so that ``e[at]`` has shape ``e.shape[:-1]``.  Returns ``(q, q_i)``,
+    with q_i spread to q's shape.  q's conditioned entry is left for the
+    caller to write.
     """
-    e_i = e[at].copy()  # a view of e when ``at`` is a basic index
-    np.multiply(e, np.exp(log_z - theta), out=e)  # E_j / p_j; +inf where p_j == 0
-    e += e_i[..., None]
-    e[at] = e_i
-    return e, e_i
+    q_i = np.repeat(e[at], e.shape[-1]).reshape(e.shape)  # E_i spread along the last axis
+    np.multiply(e, inv_p, out=e)  # E_j / p_j; +inf where p_j == 0
+    e += q_i
+    return e, q_i
 
 
-def tempered_softmax(q, q_i, lam):
+def tempered_softmax(q, q_i, at, lam):
     """softmax(values / lam) of posterior rows, from their q: (q / q_i)^(-1/lam), normalised.
 
-    ``q`` (..., N) is overwritten with the softmax; ``q_i`` (...) holds each
-    row's conditioned entry, as ``_posterior_q`` returns them.
+    ``q`` (..., N) is overwritten with the softmax; ``q_i`` and ``at`` are
+    as ``_posterior_q`` returns and takes them.
     """
-    q /= q_i[..., None]
+    q /= q_i
+    q[at] = 1.0  # q_i / q_i: E_i is finite and nonzero
     q **= -1.0 / lam
     q /= (q @ np.ones(q.shape[-1]))[..., None]  # row sums by matmul: far faster than sum(axis=-1)
     return q
@@ -113,7 +130,8 @@ def posterior_values(theta, e, at):
     ``e`` (float64) is overwritten.
     """
     log_z = logsumexp(theta)
-    q, _ = _posterior_q(theta, log_z, e, at)
+    q, q_i = _posterior_q(e, np.exp(log_z - theta), at)
+    q[at] = q_i[at]
     np.log(q, out=q)
     return np.subtract(log_z, q, out=q)
 
@@ -136,8 +154,9 @@ def conditional_values(theta, index, k, rng):
 
 def posterior_softmax(theta, index, k, lam, rng):
     """softmax(values / lam) of k posterior rows given argmax == index: (k, N)."""
-    e = exponentials(rng.random((k, theta.shape[0])))
-    return tempered_softmax(*_posterior_q(theta, logsumexp(theta), e, (..., index)), lam)
+    e = log_uniforms(rng.random((k, theta.shape[0])))  # -E: the softmax takes ratios
+    at = (..., index)
+    return tempered_softmax(*_posterior_q(e, np.exp(logsumexp(theta) - theta), at), at, lam)
 
 
 def mixture_softmax(theta, u, lam):
@@ -147,12 +166,12 @@ def mixture_softmax(theta, u, lam):
     block whose Gumbel-max draws the hard outcome, then a (K, N) block of
     posterior rows given it, whose tempered softmaxes are returned.
     """
-    e = exponentials(u)
-    idx = _gumbel_argmax(theta, e[:, 0])
-    log_z = row_logsumexp(theta)
+    e = log_uniforms(u)  # -E: the softmax takes ratios
+    idx = _gumbel_argmax(theta, np.negative(e[:, 0]))
+    inv_p = np.exp(row_logsumexp(theta)[:, None, None] - theta[:, None])
     at = (np.arange(theta.shape[0]), slice(None), idx)
     post = np.ascontiguousarray(e[:, 1:])  # the in-place passes below are faster on a contiguous block
-    return tempered_softmax(*_posterior_q(theta[:, None], log_z[:, None, None], post, at), lam)
+    return tempered_softmax(*_posterior_q(post, inv_p, at), at, lam)
 
 
 def pooled_conditional(theta, n, rng):
@@ -174,22 +193,29 @@ def grmc_stats(theta, d_idx, g_table, g_star, lam, k, rng):
     """
     n_cat = theta.shape[0]
     trials = d_idx.shape[0]
-    log_z = logsumexp(theta)
+    inv_p = np.tile(np.exp(logsumexp(theta) - theta), (k, 1))  # 1/p for a (K, N) block, contiguous
     diff = g_table[:, :, None] - g_table[:, None, :]  # (outcome i, j, m)
-    block = np.empty((min(trials, _CHUNK_TRIALS), k, n_cat))
+    chunk = min(trials, _CHUNK_TRIALS)
+    sub = max(1, min(chunk, _SUB_BLOCK_ENTRIES // (k * n_cat)))  # trials per posterior pass
+    block = np.empty((sub, k, n_cat))
+    jvp = np.empty((chunk, n_cat))
     sum_g = np.zeros(n_cat)
     sum_gsq = np.zeros(n_cat)
     sum_se = 0.0
     sum_se2 = 0.0
     for start in range(0, trials, _CHUNK_TRIALS):
         idx = d_idx[start : start + _CHUNK_TRIALS]
-        b = idx.shape[0]
-        e = exponentials(rng.random(out=block[:b]))
-        s = tempered_softmax(*_posterior_q(theta, log_z, e, (np.arange(b), slice(None), idx)), lam)
-        jvp = averaged_jvp(s, diff[idx], lam)
-        sum_g += jvp.sum(axis=0)
-        sum_gsq += (jvp * jvp).sum(axis=0)
-        err = jvp - g_star[None, :]
+        for lo in range(0, idx.shape[0], sub):
+            ix = idx[lo : lo + sub]
+            b = ix.shape[0]
+            e = log_uniforms(rng.random(out=block[:b]))  # -E: the softmax takes ratios
+            at = (np.arange(b), slice(None), ix)
+            s = tempered_softmax(*_posterior_q(e, inv_p, at), at, lam)
+            jvp[lo : lo + b] = averaged_jvp(s, diff[ix], lam)
+        chunk_jvp = jvp[: idx.shape[0]]
+        sum_g += chunk_jvp.sum(axis=0)
+        sum_gsq += (chunk_jvp * chunk_jvp).sum(axis=0)
+        err = chunk_jvp - g_star[None, :]
         se = (err * err).sum(axis=1)
         sum_se += se.sum()
         sum_se2 += (se * se).sum()

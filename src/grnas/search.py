@@ -161,14 +161,16 @@ class _FusionWeights:
         self.head_w = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=(c, 2))
         self.head_b = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=2)
         self.taps = make_taps(space)
-
-    def _named_op_weights(self):
-        for (ci, ni, name), inst in sorted(self.ops.items()):
-            for k, w in enumerate(inst.weights):
-                yield (ci, ni, name), f"cell{ci}.node{ni}.{name}.w{k}", w
+        # (op key, weight name, instance, k) in sorted op order, named once;
+        # the arrays are read at call time (Adam and load_checkpoint write them in place)
+        self._op_weights = [
+            ((ci, ni, name), f"cell{ci}.node{ni}.{name}.w{k}", inst, k)
+            for (ci, ni, name), inst in sorted(op_instances.items())
+            for k in range(len(inst.weights))
+        ]
 
     def omega_arrays(self) -> dict:
-        out = {name: w for _, name, w in self._named_op_weights()}
+        out = {name: inst.weights[k] for _, name, inst, k in self._op_weights}
         out["head.w"] = self.head_w
         out["head.b"] = self.head_b
         return out
@@ -177,7 +179,7 @@ class _FusionWeights:
         """(leaf tensor per omega_arrays name, each op's weight leaves by op key)."""
         leaves = {name: tape.tensor(w, requires_grad) for name, w in self.omega_arrays().items()}
         by_op = {key: [] for key in self.ops}
-        for key, name, _ in self._named_op_weights():
+        for key, name, _, _ in self._op_weights:
             by_op[key].append(leaves[name])
         return leaves, by_op
 

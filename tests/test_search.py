@@ -689,6 +689,48 @@ class TestDiscreteNetwork:
             DiscreteNetwork(Genotype(edges, g.cells, 0.5, 16, 0, 0), space, None)
 
 
+class TestWeightLeaves:
+    @staticmethod
+    def assert_leaves_are_omega_arrays(net):
+        names = [
+            f"cell{ci}.node{ni}.{op}.w{k}"
+            for (ci, ni, op), inst in sorted(net.ops.items())
+            for k in range(len(inst.weights))
+        ] + ["head.w", "head.b"]
+        omega = net.omega_arrays()
+        assert list(omega) == names
+        for requires_grad in (True, False):
+            leaves, by_op = net.weight_leaves(Tape(), requires_grad)
+            assert list(leaves) == names
+            for name, leaf in leaves.items():
+                assert leaf.data is omega[name] and leaf.requires_grad is requires_grad
+            assert list(by_op) == list(net.ops)
+            for (ci, ni, op), op_leaves in by_op.items():
+                assert [leaf.data for leaf in op_leaves] == [
+                    omega[f"cell{ci}.node{ni}.{op}.w{k}"] for k in range(len(op_leaves))
+                ]
+                assert all(leaf is leaves[f"cell{ci}.node{ni}.{op}.w{k}"] for k, leaf in enumerate(op_leaves))
+
+    def test_search_state(self):
+        self.assert_leaves_are_omega_arrays(SearchState(tiny_space(), np.random.default_rng(0)))
+
+    def test_discrete_network(self):
+        space = tiny_space()
+        self.assert_leaves_are_omega_arrays(DiscreteNetwork(mixed_genotype(space), space, np.random.default_rng(0)))
+
+    def test_resumed_state_reads_the_restored_arrays(self, tmp_path):
+        splits = tiny_splits(n=16)
+        space = tiny_space(k_samples=4)
+        sched = TrainSchedule(epochs=1, batch_size=8, entropy_tol=0.0)
+        ckpt = tmp_path / "c.ckpt"
+        res = run_search(splits["train"], splits["val"], space, sched, seed=2, checkpoint_path=ckpt)
+        state = search_module.load_checkpoint(ckpt, space, sched)[0]
+        self.assert_leaves_are_omega_arrays(state)
+        leaves, _ = state.weight_leaves(Tape(), False)
+        for name, arr in res.state.omega_arrays().items():
+            assert np.array_equal(leaves[name].data, arr), name
+
+
 @pytest.fixture(scope="module")
 def small_run():
     splits = tiny_splits(n=48)
