@@ -2,9 +2,13 @@
 
 A ``Tape`` records primitive applications in execution order; backward
 replays the adjoints in reverse, which is a valid reverse topological
-order.  Tensors are float64 throughout, immutable once recorded, and there
-is no broadcasting beyond scalar scaling: shape mismatches raise
-``ShapeError`` carrying both shapes.
+order.  A tape replays once: backward consumes its entries and drops each
+adjoint closure, with whatever only it holds, as soon as it has run, so
+no closure -> tensor -> tape cycle outlives the replay and a step's arrays
+are freed by reference count; a second backward raises ``ValueError``.
+Tensors are float64 throughout, immutable once recorded, and there is no
+broadcasting beyond scalar scaling: shape mismatches raise ``ShapeError``
+carrying both shapes.
 
 Custom primitives are built like the ones here: compute a forward value and
 pass ``result`` an adjoint that takes the output's gradient and feeds the
@@ -32,6 +36,7 @@ class Tape:
 
     def __init__(self):
         self._entries = []
+        self._replayed = False
 
     def tensor(self, data, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.asarray(data, dtype=np.float64), self, requires_grad)
@@ -48,9 +53,13 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
+        if self._replayed:
+            raise ValueError("backward already ran on this tape; a tape replays once")
+        self._replayed = True
+        entries, self._entries = self._entries, []
         loss.grad = np.ones_like(loss.data)
-        for entry in reversed(self._entries):
-            entry()
+        while entries:
+            entries.pop()()
 
 
 class Tensor:
@@ -348,21 +357,22 @@ def grad_check(fn, inputs, step: float = 1e-4) -> GradCheckResult:
     ``fn(tape, *tensors) -> Tensor`` must be deterministic and scalar-valued.
     Coordinates where the one-sided differences disagree (a nondifferentiable
     point such as a ReLU kink under the step) are excluded and reported, not
-    failed.
+    failed.  The probes at x +- step take no gradients: they record no
+    adjoints, and their forward values are the same.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
 
-    def evaluate(arrays):
+    def evaluate(arrays, requires_grad):
         tape = Tape()
-        tensors = [tape.tensor(x, requires_grad=True) for x in arrays]
+        tensors = [tape.tensor(x, requires_grad) for x in arrays]
         out = fn(tape, *tensors)
         if out.data.size != 1:
             raise ValueError(f"grad_check requires a scalar program, got shape {out.data.shape}")
         return tape, tensors, out
 
-    tape, tensors, out = evaluate(inputs)
+    tape, tensors, out = evaluate(inputs, True)
     tape.backward(out)
     f0 = out.item()
     ad_grads = [
@@ -377,9 +387,9 @@ def grad_check(fn, inputs, step: float = 1e-4) -> GradCheckResult:
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            f_plus = evaluate(inputs)[2].item()
+            f_plus = evaluate(inputs, False)[2].item()
             flat[j] = orig - step
-            f_minus = evaluate(inputs)[2].item()
+            f_minus = evaluate(inputs, False)[2].item()
             flat[j] = orig
             fwd = (f_plus - f0) / step
             bwd = (f0 - f_minus) / step

@@ -718,12 +718,12 @@ class DiscreteNetwork(_FusionWeights):
     def param_count(self) -> int:
         return int(sum(w.size for w in self.params().values()))
 
-    def forward(self, tape, xa, xb):
-        return _walk(tape, self, self.arch_arrays(), xa, xb, None, "eval")
+    def forward(self, tape, xa, xb, omega_grads: bool = True):
+        return _walk(tape, self, self.arch_arrays(), xa, xb, None, "eval", omega_grads)
 
     def scores(self, xa, xb) -> np.ndarray:
-        """Deterministic class-1 probabilities."""
-        logits, _ = self.forward(Tape(), xa, xb)
+        """Deterministic class-1 probabilities, from a pass that records no adjoints."""
+        logits, _ = self.forward(Tape(), xa, xb, omega_grads=False)
         return gumbel.softmax(logits.data)[:, 1]
 
 

@@ -279,6 +279,10 @@ def test_backward_requires_scalar_and_same_tape():
     y = other.tensor(np.zeros(1), requires_grad=True)
     with pytest.raises(ValueError):
         tape.backward(y)
+    loss = ad.sum_all(ad.mul(y, y))
+    other.backward(loss)
+    with pytest.raises(ValueError, match="replays once"):
+        other.backward(loss)
 
 
 def test_gradient_accumulates_over_reuse():

@@ -150,8 +150,9 @@ def test_loss_is_its_composite_bit_for_bit():
             tape = Tape()
             logits = tape.tensor(z, True)
             loss = fn(tape, logits, labels)
+            entries = len(tape._entries)
             tape.backward(loss)
-            results.append((np.asarray(loss.data), logits.grad, len(tape._entries)))
+            results.append((np.asarray(loss.data), logits.grad, entries))
         (got, got_grad, entries), (want, want_grad, _) = results
         assert entries == 1
         assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad), scale

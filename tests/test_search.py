@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -687,6 +688,59 @@ class TestDiscreteNetwork:
         edges = tuple((s, d, kept and d != "Cell2") for s, d, kept in g.first_level_edges)
         with pytest.raises(DegenerateGenotypeError, match="Cell2"):
             DiscreteNetwork(Genotype(edges, g.cells, 0.5, 16, 0, 0), space, None)
+
+
+class TestNoReferenceCycles:
+    """A step's tape, closures and arrays are freed by reference count as soon
+    as it returns: the cyclic collector finds nothing after it."""
+
+    @staticmethod
+    def assert_leaves_no_cycles(run):
+        run()  # warm-up: lazily built module state is not the step's garbage
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_bilevel_train_step(self):
+        space = SearchSpaceConfig()
+        splits = tiny_splits(channels=space.channels, length=space.length)
+        state = SearchState(space, np.random.default_rng(0))
+        tr, va = ((s.xa[:8], s.xb[:8], s.labels[:8]) for s in (splits["train"], splits["val"]))
+        rng, w_opt, a_opt = np.random.default_rng(1), Adam(3e-3), Adam(2e-2)
+        self.assert_leaves_no_cycles(
+            lambda: bilevel_train_step(state, tr, va, TrainSchedule(), rng, w_opt, a_opt)
+        )
+
+    @staticmethod
+    def discrete_network():
+        space = tiny_space()
+        return DiscreteNetwork(mixed_genotype(space), space, np.random.default_rng(3)), tiny_splits()
+
+    def test_retrain_step(self):
+        net, splits = self.discrete_network()
+        train = splits["train"]
+        batch, opt = (train.xa[:8], train.xb[:8], train.labels[:8]), Adam(1e-3)
+        self.assert_leaves_no_cycles(
+            lambda: search_module._descend(net.forward, batch, opt, net.params(), "{}")
+        )
+
+    def test_scores(self):
+        net, splits = self.discrete_network()
+        test = splits["test"]
+        self.assert_leaves_no_cycles(lambda: net.scores(test.xa, test.xb))
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(9)
+        inputs = [rng.normal(size=(2, 3)), rng.normal(size=(3, 4))]
+        self.assert_leaves_no_cycles(
+            lambda: grad_check(lambda t, x, w: ad.mean_all(ad.relu(ad.matmul(x, w))), inputs)
+        )
 
 
 class TestWeightLeaves:
