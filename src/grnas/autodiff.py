@@ -14,9 +14,16 @@ Custom primitives are built like the ones here: compute a forward value and
 pass ``result`` an adjoint that takes the output's gradient and feeds the
 inputs' through ``accumulate``, computing a product only for an input that
 takes a gradient.  The fusion ops and the search's mixture weights, head
-and loss are such primitives, one tape entry each; a fused adjoint stores
-the gradient of each former intermediate with ``first_write``, as its own
-entry did, so it keeps the composite's bits.
+and loss are such primitives, one tape entry each, and their adjoints are
+plain formulas.  Every ``.grad`` is laid out like its ``.data``: backward
+seeds the loss's with ``ones_like`` and ``accumulate``, the only other
+writer, copies a first write into that layout.  An adjoint thus gets its
+output's gradient in the output's layout, and views of it that mirror the
+forward's feed BLAS products and row sums the layouts the replaced chain's
+stored gradients had, so they round the same.  Elementwise arithmetic
+rounds the same in any layout, and the chain's copies only turned -0 into
++0, as ``accumulate`` still does.  Adjoints write nothing in place: their
+views may alias ``g`` and forward arrays.
 """
 
 from __future__ import annotations
@@ -104,15 +111,13 @@ class Tensor:
         return matmul(self, other)
 
 
-def first_write(g: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """``g`` copied once, laid out like ``like``: a transposed gradient would
-    round later BLAS products differently (a -0 is stored as +0)."""
-    return np.add(g, 0.0, out=np.empty_like(like))
-
-
 def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
-    """Add ``g`` into ``t.grad[at]``, the whole gradient by default; a whole
-    first write is ``first_write(g, t.data)``."""
+    """Add ``g`` into ``t.grad[at]``, the whole gradient by default.
+
+    The one place a gradient is copied: a whole first write stores 0 + g
+    laid out like ``t.data`` (a -0 is stored as +0), so ``t.grad`` never
+    aliases ``g`` and has its tensor's layout.
+    """
     if not t.requires_grad:
         return
     if at is not ...:
@@ -120,7 +125,7 @@ def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
             t.grad = np.zeros_like(t.data)
         t.grad[at] += g
     elif t.grad is None:
-        t.grad = first_write(g, t.data)
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -307,7 +312,7 @@ def mean_all(a: Tensor) -> Tensor:
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     def bw(g):
-        accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     return result(a.tape, a.data.sum(axis=axis), (a,), bw)
 

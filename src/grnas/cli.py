@@ -289,8 +289,11 @@ def cmd_search(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(EvalConfig, args)
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(args.genotype) as fh:
-        genotype = Genotype.from_json(fh.read())
+    try:
+        with open(args.genotype) as fh:
+            genotype = Genotype.from_json(fh.read())
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"genotype {args.genotype} cannot be read: {err}") from err
     try:
         genotype.check_fits(cfg.space)
     except ValueError as err:

@@ -164,12 +164,16 @@ def read_labels_csv(path) -> np.ndarray:
         header = fh.readline().strip().split(",")
         if header != ["sample_id", "label"]:
             raise ValueError(f"{path}: expected header 'sample_id,label', got {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            sid, lab = line.split(",")
-            labels[int(sid)] = int(lab)
+            sid, lab = (int(v) for v in line.split(","))
+            if lab not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: label {lab} is not 0 or 1")
+            if sid in labels:
+                raise ValueError(f"{path}:{lineno}: sample id {sid} repeats")
+            labels[sid] = lab
     if not labels:
         raise ValueError(f"{path}: no label rows")
     out = np.empty(len(labels), dtype=np.int64)

@@ -30,34 +30,31 @@ def _check_channels(x: Tensor, w: Tensor, op: str) -> None:
 
 
 def _mix(x: np.ndarray, w: np.ndarray):
-    """Channel mixing of an (N, C, L) array: its (N * L, C) rows, their
-    product with ``w`` and the product's (N, C_out, L) view."""
+    """Channel mixing of an (N, C, L) array: its (N * L, C) rows and the
+    (N, C_out, L) view of their product with ``w``."""
     n, c, length = x.shape
     flat = x.transpose(0, 2, 1).reshape(n * length, c)
-    h = flat @ w
-    return flat, h, h.reshape(n, length, w.shape[1]).transpose(0, 2, 1)
+    return flat, (flat @ w).reshape(n, length, w.shape[1]).transpose(0, 2, 1)
 
 
-def _mix_bw(g, x: Tensor, w: Tensor, flat, h) -> None:
+def _mix_bw(g, x: Tensor, w: Tensor, flat) -> None:
     """Accumulate the gradients of ``_mix`` into w, then x, from its
-    output's gradient ``g``, with the transpose/reshape/matmul chain's
-    arithmetic and a ``first_write`` where each of its entries stored one."""
-    g_rows = g.transpose(0, 2, 1)  # (N, L, C_out)
-    g_h = ad.first_write(ad.first_write(g_rows, h.reshape(g_rows.shape)).reshape(h.shape), h)
-    if x.requires_grad:
-        g_flat = ad.first_write(g_h @ w.data.swapaxes(-1, -2), flat)
+    output's gradient ``g``, reading g's rows and writing x's gradient
+    through views that mirror the forward's."""
+    n, c, length = x.shape
+    g_h = g.transpose(0, 2, 1).reshape(n * length, w.shape[1])
     if w.requires_grad:
         ad.accumulate(w, flat.swapaxes(-1, -2) @ g_h)
     if x.requires_grad:
-        rows = x.data.transpose(0, 2, 1)
-        ad.accumulate(x, ad.first_write(g_flat.reshape(rows.shape), rows).transpose(0, 2, 1))
+        g_flat = g_h @ w.data.swapaxes(-1, -2)
+        ad.accumulate(x, g_flat.reshape(n, length, c).transpose(0, 2, 1))
 
 
 def channel_linear(x: Tensor, w: Tensor) -> Tensor:
     """Apply a channel-mixing matrix (C_in x C_out) at every batch position."""
     _check_channels(x, w, "channel_linear")
-    flat, h, out = _mix(x.data, w.data)
-    return ad.result(x.tape, out, (x, w), lambda g: _mix_bw(g, x, w, flat, h))
+    flat, out = _mix(x.data, w.data)
+    return ad.result(x.tape, out, (x, w), lambda g: _mix_bw(g, x, w, flat))
 
 
 def _check_pair(x: Tensor, y: Tensor, op: str) -> None:
@@ -90,23 +87,19 @@ def op_attention(tape, x: Tensor, y: Tensor) -> Tensor:
         raise ShapeError(f"attention: channel counts {x.shape} and {y.shape} differ")
     scale = 1.0 / math.sqrt(x.shape[1])
     queries = x.data.transpose(0, 2, 1)
-    scores = queries @ y.data
-    scaled = scores * scale
-    attn = softmax(scaled)  # (N, Lq, Lk), normalized over keys
+    attn = softmax((queries @ y.data) * scale)  # (N, Lq, Lk), normalized over keys
     attn_t = attn.transpose(0, 2, 1)
 
     def bw(g):
         if y.requires_grad:
             ad.accumulate(y, g @ attn_t.swapaxes(-1, -2))
-        g_attn = ad.first_write(ad.first_write(y.data.swapaxes(-1, -2) @ g, attn_t).transpose(0, 2, 1), attn)
-        g_scaled = ad.first_write(attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)), scaled)
-        g_scores = ad.first_write(g_scaled * scale, scores)
-        if x.requires_grad:
-            g_queries = ad.first_write(g_scores @ y.data.swapaxes(-1, -2), queries)
+        g_attn = (y.data.swapaxes(-1, -2) @ g).transpose(0, 2, 1)
+        # the product takes attn's layout, so each row sum reads contiguous rows
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
         if y.requires_grad:
             ad.accumulate(y, queries.swapaxes(-1, -2) @ g_scores)
         if x.requires_grad:
-            ad.accumulate(x, g_queries.transpose(0, 2, 1))
+            ad.accumulate(x, (g_scores @ y.data.swapaxes(-1, -2)).transpose(0, 2, 1))
 
     return ad.result(tape, y.data @ attn_t, (x, y), bw)
 
@@ -116,19 +109,15 @@ def op_linear_glu(tape, x: Tensor, y: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     _check_pair(x, y, "linear_glu")
     _check_channels(x, w1, "channel_linear")
     _check_channels(y, w2, "channel_linear")
-    flat_x, h_x, lin = _mix(x.data, w1.data)
-    flat_y, h_y, pre = _mix(y.data, w2.data)
+    flat_x, lin = _mix(x.data, w1.data)
+    flat_y, pre = _mix(y.data, w2.data)
     gate = ad.logistic(pre)
 
     def bw(g):
-        lin_grad = x.requires_grad or w1.requires_grad
-        if lin_grad:
-            g_lin = ad.first_write(g * gate, lin)
         if y.requires_grad or w2.requires_grad:
-            g_gate = ad.first_write(g * lin, gate)
-            _mix_bw(ad.first_write(g_gate * gate * (1.0 - gate), pre), y, w2, flat_y, h_y)
-        if lin_grad:
-            _mix_bw(g_lin, x, w1, flat_x, h_x)
+            _mix_bw(g * lin * gate * (1.0 - gate), y, w2, flat_y)
+        if x.requires_grad or w1.requires_grad:
+            _mix_bw(g * gate, x, w1, flat_x)
 
     return ad.result(tape, lin * gate, (x, y, w1, w2), bw)
 
@@ -142,33 +131,21 @@ def op_concat_fc(tape, x: Tensor, y: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_fc: weight {w.shape} does not accept {c2} channels")
     rows = joint.transpose(0, 2, 1)
     flat = rows.reshape(n * length, c2)
-    prod = flat @ w.data
     ones = np.ones((n * length, 1))  # the bias replicated over rows by a ones matmul
-    b_row = b.data.reshape((1, b.shape[0]))
-    bias = ones @ b_row
-    pre = prod + bias
+    pre = flat @ w.data + ones @ b.data.reshape((1, b.shape[0]))
     mask = pre > 0  # adjoint at exactly 0 is 0
-    act = pre * mask
-    out_rows = act.reshape((n, length, w.shape[1]))
+    out_rows = (pre * mask).reshape((n, length, w.shape[1]))
 
     def bw(g):
-        g_act = ad.first_write(ad.first_write(g.transpose(0, 2, 1), out_rows).reshape(act.shape), act)
-        g_pre = ad.first_write(g_act * mask, pre)
-        inputs_grad = x.requires_grad or y.requires_grad
-        if inputs_grad or w.requires_grad:
-            g_prod = ad.first_write(g_pre, prod)
+        g_pre = g.transpose(0, 2, 1).reshape(pre.shape) * mask
         if b.requires_grad:
-            g_b_row = ad.first_write(ones.swapaxes(-1, -2) @ ad.first_write(g_pre, bias), b_row)
-            ad.accumulate(b, g_b_row.reshape(b.shape))
-        if inputs_grad:
-            g_flat = ad.first_write(g_prod @ w.data.swapaxes(-1, -2), flat)
+            ad.accumulate(b, (ones.swapaxes(-1, -2) @ g_pre).reshape(b.shape))
         if w.requires_grad:
-            ad.accumulate(w, flat.swapaxes(-1, -2) @ g_prod)
-        if inputs_grad:
-            g_joint = ad.first_write(ad.first_write(g_flat.reshape(rows.shape), rows).transpose(0, 2, 1), joint)
-            half = x.shape[1]
-            ad.accumulate(x, g_joint[:, :half])
-            ad.accumulate(y, g_joint[:, half:])
+            ad.accumulate(w, flat.swapaxes(-1, -2) @ g_pre)
+        if x.requires_grad or y.requires_grad:
+            g_joint = (g_pre @ w.data.swapaxes(-1, -2)).reshape(rows.shape).transpose(0, 2, 1)
+            ad.accumulate(x, g_joint[:, : x.shape[1]])
+            ad.accumulate(y, g_joint[:, x.shape[1] :])
 
     return ad.result(tape, out_rows.transpose(0, 2, 1), (x, y, w, b), bw)
 

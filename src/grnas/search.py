@@ -393,25 +393,19 @@ def _head(tape, v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Class logits mean_L(v) @ w + b, one tape entry with the arithmetic of
     mean_axis, a ones-matmul bias, matmul and add."""
     scale = 1.0 / v.shape[2]
-    sums = v.data.sum(axis=2)
-    pooled = sums * scale
+    pooled = v.data.sum(axis=2) * scale
     ones = np.ones((pooled.shape[0], 1))
-    b_row = b.data.reshape((1, b.shape[0]))
-    bias = ones @ b_row
+    bias = ones @ b.data.reshape((1, b.shape[0]))
     prod = pooled @ w.data
 
     def bw(g):
-        g_prod = ad.first_write(g, prod)
-        if v.requires_grad:
-            g_pooled = ad.first_write(g_prod @ w.data.swapaxes(-1, -2), pooled)
         if w.requires_grad:
-            ad.accumulate(w, pooled.swapaxes(-1, -2) @ g_prod)
+            ad.accumulate(w, pooled.swapaxes(-1, -2) @ g)
         if b.requires_grad:
-            g_b_row = ad.first_write(ones.swapaxes(-1, -2) @ ad.first_write(g, bias), b_row)
-            ad.accumulate(b, g_b_row.reshape(b.shape))
+            ad.accumulate(b, (ones.swapaxes(-1, -2) @ g).reshape(b.shape))
         if v.requires_grad:
-            g_sums = ad.first_write(g_pooled * scale, sums)
-            ad.accumulate(v, np.broadcast_to(np.expand_dims(g_sums, 2), v.shape).copy())
+            g_sums = (g @ w.data.swapaxes(-1, -2)) * scale
+            ad.accumulate(v, np.broadcast_to(np.expand_dims(g_sums, 2), v.shape))
 
     return ad.result(tape, prod + bias, (v, w, b), bw)
 
@@ -442,8 +436,7 @@ def cross_entropy_loss(tape, logits: Tensor, labels) -> Tensor:
     scale = -1.0 / labels.shape[0]
 
     def bw(g):
-        g_total = ad.first_write(g * scale, total)
-        g_logp = ad.first_write(ad.first_write(np.full_like(picked, float(g_total)), picked) * onehot, logp)
+        g_logp = np.full_like(picked, float(g * scale)) * onehot
         ad.accumulate(logits, g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True))
 
     return ad.result(tape, total * scale, (logits,), bw)
@@ -538,6 +531,23 @@ def entropy(logits_matrix) -> float:
 # genotype
 
 
+def _cell_entry(c: dict) -> dict:
+    return {
+        "cell": c["cell"], "node": c["node"], "op": c["op"],
+        "inputs": list(c["inputs"]), "tie": bool(c.get("tie", False)),
+    }
+
+
+_GENOTYPE_KEYS = (  # JSON key, Genotype field, JSON type, reader (None: as is)
+    ("first_level_edges", "first_level_edges", list, lambda v: tuple((e[0], e[1], bool(e[2])) for e in v)),
+    ("cells", "cells", list, lambda v: tuple(map(_cell_entry, v))),
+    ("lambda", "lam", (int, float), None),
+    ("K", "k_samples", int, None),
+    ("seed", "seed", int, None),
+    ("epoch", "epoch", int, None),
+)
+
+
 @dataclass(frozen=True)
 class Genotype:
     """Discrete architecture extracted from a search state."""
@@ -573,27 +583,23 @@ class Genotype:
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "Genotype":
+    def from_json_dict(cls, payload) -> "Genotype":
+        """Raise ValueError naming the first key that is missing or mistyped."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         if payload.get("version") != GENOTYPE_VERSION:
             raise ValueError(f"unsupported genotype version {payload.get('version')!r}")
-        return cls(
-            first_level_edges=tuple((e[0], e[1], bool(e[2])) for e in payload["first_level_edges"]),
-            cells=tuple(
-                {
-                    "cell": c["cell"],
-                    "node": c["node"],
-                    "op": c["op"],
-                    "inputs": list(c["inputs"]),
-                    "tie": bool(c.get("tie", False)),
-                }
-                for c in payload["cells"]
-            ),
-            lam=payload["lambda"],
-            k_samples=payload["K"],
-            seed=payload["seed"],
-            epoch=payload["epoch"],
-            entropy_history_ref=payload.get("entropy_history_ref"),
-        )
+        fields = {"entropy_history_ref": payload.get("entropy_history_ref")}
+        for key, name, kind, read in _GENOTYPE_KEYS:
+            if key not in payload:
+                raise ValueError(f"missing key {key!r}")
+            try:
+                if isinstance(payload[key], bool) or not isinstance(payload[key], kind):
+                    raise TypeError
+                fields[name] = read(payload[key]) if read else payload[key]
+            except (TypeError, KeyError, IndexError) as err:
+                raise ValueError(f"key {key!r} is mistyped: {payload[key]!r:.80}") from err
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "Genotype":
@@ -948,16 +954,20 @@ def _check_resumes(manifest: dict, space, schedule, seed) -> None:
 def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule, seed=None):
     """Restore (state, optimizers, rng, history, next_epoch) for exact resume.
 
-    Raises CheckpointMismatchError unless the checkpoint was written under
-    the same space, schedule (``epochs`` aside) and, when given, seed.
+    Raises CheckpointMismatchError unless the checkpoint reads as a zip with
+    a manifest and its arrays, written under the same space, schedule
+    (``epochs`` aside) and, when given, seed.
     """
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        _check_resumes(manifest, space, schedule, seed)
-        arrays = {}
-        for name, shape in manifest["tensors"].items():
-            raw = zf.read(f"{name}.f64le")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    try:
+        with zipfile.ZipFile(path) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            _check_resumes(manifest, space, schedule, seed)
+            arrays = {}
+            for name, shape in manifest["tensors"].items():
+                raw = zf.read(f"{name}.f64le")
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except (OSError, zipfile.BadZipFile, KeyError, json.JSONDecodeError) as err:
+        raise CheckpointMismatchError(f"it cannot be read ({type(err).__name__}: {err})") from err
 
     state = SearchState(space, np.random.default_rng(manifest["seed"]))
     for name, array in _state_arrays(state).items():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import zipfile
 
 import pytest
 
@@ -349,6 +350,76 @@ class TestSearchCommand:
         assert str(ckpt) in err
         assert f"{section}.{field} is {was!r} in the checkpoint but {now!r} in this run" in err
         assert list(out_resumed.iterdir()) == []
+
+    UNREADABLE_GENOTYPES = {
+        "missing": "No such file",
+        "invalid_json": "Expecting",
+        "no_first_level_edges": "missing key 'first_level_edges'",
+        "version_2": "unsupported genotype version 2",
+    }
+
+    @pytest.mark.parametrize("case", list(UNREADABLE_GENOTYPES))
+    def test_eval_refuses_unreadable_genotype(self, search_run, capsys, case):
+        _, _, out, tmp_path = search_run
+        cfg = write_config(
+            tmp_path,
+            "eval_bad.json",
+            {"task": TINY_TASK, "space": TINY_SPACE, "retrain": TINY_RETRAIN, "seed": 5},
+        )
+        payload = json.loads((out / "genotype.json").read_text())
+        gpath = tmp_path / f"genotype_{case}.json"
+        if case == "invalid_json":
+            gpath.write_text("{not json")
+        elif case == "no_first_level_edges":
+            del payload["first_level_edges"]
+            gpath.write_text(json.dumps(payload))
+        elif case == "version_2":
+            gpath.write_text(json.dumps(dict(payload, version=2)))
+        out_eval = tmp_path / f"eval_{case}"
+        code = main(["eval", "--config", cfg, "--genotype", str(gpath), "--out-dir", str(out_eval)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: genotype {gpath} ") and err.count("\n") == 1
+        assert self.UNREADABLE_GENOTYPES[case] in err
+        assert not (out_eval / "metrics.json").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "not_a_zip", "no_manifest"])
+    def test_resume_refuses_unreadable_checkpoint(self, search_run, capsys, case):
+        _, cfg, _, tmp_path = search_run
+        ckpt = tmp_path / f"{case}.ckpt"
+        if case == "not_a_zip":
+            ckpt.write_bytes(b"not a zip archive")
+        elif case == "no_manifest":
+            with zipfile.ZipFile(ckpt, "w") as zf:
+                zf.writestr("alpha.f64le", b"")
+        out_resumed = tmp_path / f"unreadable_{case}"
+        code = main(["search", "--config", cfg, "--out-dir", str(out_resumed), "--resume", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {ckpt} cannot resume this run: it cannot be read")
+        assert err.count("\n") == 1
+        assert list(out_resumed.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("K", "8"), ("lambda", True), ("cells", [1]), ("first_level_edges", [["in", "Cell0"]])],
+)
+def test_genotype_names_a_mistyped_key(key, value):
+    space = SearchSpaceConfig(**TINY_SPACE)
+    names = space.node_names
+    g = Genotype(
+        first_level_edges=tuple((names[s], names[d], True) for s, d in space.first_level_edges()),
+        cells=({"cell": 0, "node": 0, "op": "sum", "inputs": ["in", "in"], "tie": False},),
+        lam=0.5, k_samples=8, seed=5, epoch=3,
+    )
+    assert Genotype.from_json_dict(g.to_json_dict()) == g
+    with pytest.raises(ValueError, match=f"key '{key}' is mistyped"):
+        Genotype.from_json_dict(dict(g.to_json_dict(), **{key: value}))
+    payload = g.to_json_dict()
+    del payload[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        Genotype.from_json_dict(payload)
 
 
 class TestAblationCommand:

@@ -115,3 +115,15 @@ class TestIngestion:
         bad.write_text("id,y\n0,1\n")
         with pytest.raises(ValueError):
             data.read_labels_csv(bad)
+
+    def test_label_outside_zero_one_rejected(self, tmp_path):
+        bad = tmp_path / "labels.csv"
+        bad.write_text("sample_id,label\n0,1\n1,2\n2,-1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv:3: label 2 is not 0 or 1"):
+            data.read_labels_csv(bad)
+
+    def test_repeated_sample_id_rejected(self, tmp_path):
+        bad = tmp_path / "labels.csv"
+        bad.write_text("sample_id,label\n0,1\n1,0\n1,1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv:4: sample id 1 repeats"):
+            data.read_labels_csv(bad)

@@ -4,7 +4,10 @@ The fusion ops, the search head and the loss are one tape entry each.  Their
 forward values and every input's gradient must equal, bit for bit, those of
 the composite written out below: under every subset of inputs that take a
 gradient, with x and y as one tensor, with a transposed input layout, and
-with an input whose gradient already holds a contribution.
+with an input whose gradient already holds a contribution.  The benchmark's
+batch shapes run rows of 8 positions, where numpy's row sums switch from a
+plain loop to pairwise blocks, so a sum read in another layout can round
+differently there, which it cannot at 5.
 """
 
 import itertools
@@ -63,31 +66,37 @@ def composite_loss(tape, logits, labels):
 
 
 ACT = (8, 3, 5)  # N, C, L
-# name: (fused, composite, shapes of the inputs after the activations, takes y)
+# a search-k100 batch and a retrain-b64 batch, whose rows reach 8-element sums
+BENCH_ACTS = [(8, 16, 8), (64, 16, 8)]
+# name: (fused, composite, shapes of the weights for C channels, takes y)
 CASES = {
     "channel_linear": (
         lambda t, x, w: ops.channel_linear(x, w),
         lambda t, x, w: composite_channel_linear(x, w),
-        [(3, 5)],
+        lambda c: [(c, c + 2)],
         False,
     ),
-    "attention": (ops.op_attention, composite_attention, [], True),
-    "linear_glu": (ops.op_linear_glu, composite_linear_glu, [(3, 3), (3, 3)], True),
-    "concat_fc": (ops.op_concat_fc, composite_concat_fc, [(6, 3), (3,)], True),
-    "head": (search_module._head, composite_head, [(3, 2), (2,)], False),
+    "attention": (ops.op_attention, composite_attention, lambda c: [], True),
+    "linear_glu": (ops.op_linear_glu, composite_linear_glu, lambda c: [(c, c), (c, c)], True),
+    "concat_fc": (ops.op_concat_fc, composite_concat_fc, lambda c: [(2 * c, c), (c,)], True),
+    "head": (search_module._head, composite_head, lambda c: [(c, 2), (2,)], False),
 }
 VARIANTS = [
-    (name, layout, x_is_y)
+    pytest.param(
+        name, layout, x_is_y, act,
+        id="-".join([name, layout, str(x_is_y)] + ([] if act == ACT else ["x".join(map(str, act))])),
+    )
+    for act in [ACT] + BENCH_ACTS
     for name, (*_, takes_y) in CASES.items()
     for layout in ("c", "transposed")
     for x_is_y in ((False, True) if takes_y else (False,))
 ]
 
 
-def _activation(rng, layout):
+def _activation(rng, layout, act=ACT):
     if layout == "c":
-        return rng.normal(size=ACT)
-    n, c, length = ACT
+        return rng.normal(size=act)
+    n, c, length = act
     return rng.normal(size=(n, length, c)).transpose(0, 2, 1)  # a channel_linear output's layout
 
 
@@ -102,19 +111,21 @@ def _run(fn, arrays, x_is_y, grad_set, prior):
     upstream = np.random.default_rng(99).normal(size=out.shape)
     loss = ad.sum_all(ad.mul(out, tape.constant(upstream)))
     if prior:  # recorded after the op: x already holds a gradient when the op's adjoint runs
-        other = np.random.default_rng(98).normal(size=ACT)
+        other = np.random.default_rng(98).normal(size=arrays[0].shape)
         loss = ad.add(loss, ad.sum_all(ad.mul(leaves[0], tape.constant(other))))
     if loss.requires_grad:
         tape.backward(loss)
     return out.data, leaves
 
 
-@pytest.mark.parametrize("name,layout,x_is_y", VARIANTS)
-def test_fused_op_is_its_composite_bit_for_bit(name, layout, x_is_y):
+@pytest.mark.parametrize("name,layout,x_is_y,act", VARIANTS)
+def test_fused_op_is_its_composite_bit_for_bit(name, layout, x_is_y, act):
     fused, composite, weight_shapes, takes_y = CASES[name]
     rng = np.random.default_rng(30)
-    acts = [_activation(rng, layout)] + ([] if x_is_y or not takes_y else [_activation(rng, layout)])
-    arrays = acts + [rng.normal(size=s) for s in weight_shapes]
+    acts = [_activation(rng, layout, act)]
+    if takes_y and not x_is_y:
+        acts.append(_activation(rng, layout, act))
+    arrays = acts + [rng.normal(size=s) for s in weight_shapes(act[1])]
     for r in range(1, len(arrays) + 1):
         for grad_set in itertools.combinations(range(len(arrays)), r):
             for prior in (False, True):
@@ -136,7 +147,7 @@ def test_fused_ops_record_one_entry():
     for name, (fused, _, weight_shapes, takes_y) in CASES.items():
         tape = Tape()
         acts = [tape.tensor(rng.normal(size=ACT), True) for _ in range(1 + takes_y)]
-        fused(tape, *acts, *(tape.tensor(rng.normal(size=s), True) for s in weight_shapes))
+        fused(tape, *acts, *(tape.tensor(rng.normal(size=s), True) for s in weight_shapes(ACT[1])))
         assert len(tape._entries) == 1, name
 
 
