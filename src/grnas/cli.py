@@ -249,6 +249,8 @@ def read_history_csv(path):
 
 def cmd_search(args) -> int:
     cfg = _load_config(SearchRunConfig, args)
+    if args.checkpoint_every < 0:
+        raise ConfigError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest("search", cfg, cfg.seed)
     splits = data_mod.gen_synthetic_bimodal(cfg.task)
@@ -395,8 +397,11 @@ def cmd_ablation(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(GenDataConfig, args.config)
+    try:
+        task = cfg.task if args.seed is None else dataclasses.replace(cfg.task, seed=args.seed)
+    except ValueError as err:
+        raise ConfigError(f"--seed: {err}") from err
     os.makedirs(args.out_dir, exist_ok=True)
-    task = cfg.task if args.seed is None else dataclasses.replace(cfg.task, seed=args.seed)
     manifest = RunManifest("gen-data", cfg, task.seed)
     splits = data_mod.gen_synthetic_bimodal(task)
     for name, split in splits.items():

@@ -32,6 +32,20 @@ def build_dataclass(cls, payload: dict, where: str):
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _check_run(cfg) -> None:
+    """A run's seed is non-negative and its task's samples have its space's shape."""
+    _check_seed(cfg.seed)
+    for name in ("channels", "length"):
+        task, space = getattr(cfg.task, name), getattr(cfg.space, name)
+        if task != space:
+            raise ValueError(f"task.{name} is {task} but space.{name} is {space}; they must be equal")
+
+
 @dataclass(frozen=True)
 class EstimatorBenchConfig:
     lambdas: tuple = (0.1, 0.5, 1.0)
@@ -53,6 +67,7 @@ class EstimatorBenchConfig:
                 raise ValueError(f"unknown objective {obj!r}; use 'linear' or 'quadratic'")
         if any(l <= 0 for l in self.lambdas) or any(k < 1 for k in self.k_grid):
             raise ValueError("lambdas must be positive and k_grid entries >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,9 @@ class SearchRunConfig:
     schedule: TrainSchedule = field(default_factory=TrainSchedule)
     retrain: TrainSchedule = field(default_factory=lambda: TrainSchedule(epochs=100, batch_size=64))
     seed: int = 0
+
+    def __post_init__(self):
+        _check_run(self)
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,7 @@ class AblationConfig:
             raise ValueError("lambdas and k_grid must not be empty")
         if any(l <= 0 for l in self.lambdas) or any(k < 1 for k in self.k_grid):
             raise ValueError("lambdas must be positive and k_grid entries >= 1")
+        _check_run(self)
 
 
 @dataclass(frozen=True)
@@ -94,6 +113,9 @@ class EvalConfig:
     retrain: TrainSchedule = field(default_factory=lambda: TrainSchedule(epochs=100, batch_size=64))
     shuffle_labels: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        _check_run(self)
 
 
 _NESTED = {

@@ -39,6 +39,8 @@ class SynthTaskConfig:
             raise ValueError("noise must be positive and separation non-negative")
         if min(self.n_train, self.n_val, self.n_test) < 2:
             raise ValueError("each split needs at least 2 samples")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

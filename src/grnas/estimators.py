@@ -24,7 +24,7 @@ from . import kernels
 from .gumbel import (
     HardSample,
     PerturbedLogits,
-    gumbel_max_sample,
+    onehot,
     perturb_logits,
     softmax,
     validate_logits,
@@ -115,8 +115,7 @@ def stgs_gradient(obj, theta, lam: float, rng) -> GradientEstimate:
         raise ValueError(f"temperature must be positive, got {lam}")
     perturbed = perturb_logits(theta, rng)
     idx = perturbed.argmax_index
-    d = np.zeros(theta.shape[0])
-    d[idx] = 1.0
+    d = onehot(idx, theta.shape[0])
     grad = _jvp(obj.grad(d), perturbed.values, lam)
     return GradientEstimate(grad_theta=grad, outcome=HardSample(d, idx), value=obj.value(d))
 
@@ -126,10 +125,11 @@ def grmc_gradient(obj, theta, config: EstimatorConfig, rng) -> GradientEstimate:
     if config.kind != "grmc":
         raise ValueError(f"grmc_gradient requires kind='grmc', got {config.kind!r}")
     theta = validate_logits(theta)
-    outcome = gumbel_max_sample(theta, rng)
-    s = kernels.posterior_softmax(theta, outcome.index, config.k_samples, config.lam, rng)
+    u = rng.random((1, 1 + config.k_samples, theta.shape[0]))
+    s, (index,) = kernels.mixture_softmax(theta[None], u, config.lam)
+    outcome = HardSample(onehot(index, theta.shape[0]), int(index))
     v = obj.grad(outcome.onehot)
-    grad = kernels.averaged_jvp(s, v[:, None] - v[None, :], config.lam)
+    grad = kernels.averaged_jvp(s[0], v[:, None] - v[None, :], config.lam)
     return GradientEstimate(grad_theta=grad, outcome=outcome, value=obj.value(outcome.onehot))
 
 
@@ -138,8 +138,7 @@ def enumerate_objective(obj, n):
     f_table = np.empty(n)
     g_table = np.empty((n, n))
     for i in range(n):
-        d = np.zeros(n)
-        d[i] = 1.0
+        d = onehot(i, n)
         f_table[i] = obj.value(d)
         g_table[i] = obj.grad(d)
     return f_table, g_table

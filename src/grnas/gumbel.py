@@ -113,7 +113,8 @@ def sample_gumbel(n: int, params: GumbelParams = STANDARD, rng: np.random.Genera
     return -params.beta * np.log(kernels.exponentials(rng.random(n))) + params.mu
 
 
-def _onehot(index: int, n: int) -> np.ndarray:
+def onehot(index: int, n: int) -> np.ndarray:
+    """The length-n float vector with a 1 at ``index``."""
     d = np.zeros(n)
     d[index] = 1.0
     return d
@@ -123,7 +124,7 @@ def gumbel_max_sample(theta, rng) -> HardSample:
     """One exact categorical draw via argmax of Gumbel-perturbed logits."""
     theta = validate_logits(theta)
     idx = int(kernels.gumbel_max_indices(theta, 1, rng)[0])
-    return HardSample(onehot=_onehot(idx, theta.shape[0]), index=idx)
+    return HardSample(onehot=onehot(idx, theta.shape[0]), index=idx)
 
 
 def gumbel_max_indices(theta, n: int, rng) -> np.ndarray:

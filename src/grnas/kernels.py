@@ -24,6 +24,8 @@ faults than it saves.
 ``averaged_jvp`` is the one Jacobian-vector product of the tempered softmax,
 averaged over K rows in the pairwise form, which the estimators (STGS as
 K = 1), ``grmc_stats`` and the search's mixture draw all use.
+``mixture_softmax`` is the one single GRMC-K draw (an outcome, then K
+posterior softmaxes, per row), of the search and ``grmc_gradient`` alike.
 
 Draw-order contract (per kernel call): uniform blocks are consumed whole,
 row-major, trial-major; no draws are interleaved within a trial.
@@ -63,21 +65,16 @@ def exponentials(u):
 
 
 def logsumexp(theta):
-    """log sum_j exp(theta_j), max-subtracted."""
+    """log sum_j exp(theta_j) over the last axis, max-subtracted: a float for
+    a vector, one per row otherwise.  The max, exp and sum run once over all
+    rows, the log per row by ``math.log`` (``np.log`` rounds differently)."""
     theta = np.asarray(theta, dtype=np.float64)
-    m = theta.max()
-    if not math.isfinite(m):
-        return m
-    return m + math.log(np.exp(theta - m).sum())
-
-
-def row_logsumexp(theta):
-    """``logsumexp`` of each row of ``theta`` (R, N), bit for bit: the max, exp
-    and sum run once over all rows, the log per row by ``math.log`` (``np.log``
-    rounds differently)."""
-    m = theta.max(axis=-1)
-    sums = np.exp(theta - m[:, None]).sum(axis=-1)
-    return np.array([mi + math.log(si) if math.isfinite(mi) else mi for mi, si in zip(m.tolist(), sums.tolist())])
+    m = theta.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # an all -inf row: its nan sum goes unused
+        sums = np.exp(theta - m).sum(axis=-1)
+    m, sums = m.ravel().tolist(), np.ravel(sums).tolist()
+    out = [mi + math.log(si) if math.isfinite(mi) else mi for mi, si in zip(m, sums)]
+    return out[0] if theta.ndim == 1 else np.array(out).reshape(theta.shape[:-1])
 
 
 def _posterior_q(e, inv_p, at):
@@ -152,26 +149,20 @@ def conditional_values(theta, index, k, rng):
     return posterior_values(theta, exponentials(rng.random((k, theta.shape[0]))), (..., index))
 
 
-def posterior_softmax(theta, index, k, lam, rng):
-    """softmax(values / lam) of k posterior rows given argmax == index: (k, N)."""
-    e = log_uniforms(rng.random((k, theta.shape[0])))  # -E: the softmax takes ratios
-    at = (..., index)
-    return tempered_softmax(*_posterior_q(e, np.exp(logsumexp(theta) - theta), at), at, lam)
-
-
 def mixture_softmax(theta, u, lam):
-    """The search's mixture draw for every row of ``theta`` (R, N): (R, K, N).
+    """The GRMC-K draw for every row of ``theta`` (R, N): the (R, K, N)
+    tempered softmaxes and the (R,) outcomes.
 
     ``u`` (R, 1 + K, N) holds each row's uniforms, overwritten: a (1, N)
     block whose Gumbel-max draws the hard outcome, then a (K, N) block of
-    posterior rows given it, whose tempered softmaxes are returned.
+    posterior rows given it.
     """
     e = log_uniforms(u)  # -E: the softmax takes ratios
     idx = _gumbel_argmax(theta, np.negative(e[:, 0]))
-    inv_p = np.exp(row_logsumexp(theta)[:, None, None] - theta[:, None])
+    inv_p = np.exp(logsumexp(theta)[:, None, None] - theta[:, None])
     at = (np.arange(theta.shape[0]), slice(None), idx)
     post = np.ascontiguousarray(e[:, 1:])  # the in-place passes below are faster on a contiguous block
-    return tempered_softmax(*_posterior_q(post, inv_p, at), at, lam)
+    return tempered_softmax(*_posterior_q(post, inv_p, at), at, lam), idx
 
 
 def pooled_conditional(theta, n, rng):

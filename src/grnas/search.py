@@ -75,6 +75,8 @@ class SearchSpaceConfig:
             raise ValueError(f"temperature must be positive, got {self.lam}")
         if self.k_samples < 1:
             raise ValueError(f"k_samples must be >= 1, got {self.k_samples}")
+        if self.tap_seed < 0:
+            raise ValueError(f"tap_seed must be >= 0, got {self.tap_seed}")
 
     @property
     def n_feature_nodes(self) -> int:
@@ -233,7 +235,7 @@ def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mo
     theta = np.atleast_2d(logits.data)
     if uniforms is None:
         uniforms = rng.random((theta.shape[0], k + 1, theta.shape[1]))
-    s = kernels.mixture_softmax(theta, uniforms, lam)  # (rows, k, N), noise held fixed
+    s, _ = kernels.mixture_softmax(theta, uniforms, lam)  # (rows, k, N), noise held fixed
 
     def bw(g):
         g = g.reshape(theta.shape)
@@ -243,39 +245,36 @@ def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mo
     return ad.result(tape, s.mean(axis=1).reshape(logits.shape), (logits,), bw)
 
 
-def _choose(tape, choice, names, branch, lam, k, rng, mode):
+def _choose(choice, names, branch):
     """One choice among the candidates ``names``; ``branch(name)`` builds one.
 
-    ``choice`` is an int pick of ``names[choice]``, a logits row mixed here
-    with grmc_mixture_weights under ``mode``, or a (weights, row) pair from
-    a matrix the walker mixed at once.  A mixture is one weighted_sum that
-    skips "zero" (exact zero contribution and zero weight gradient).
+    ``choice`` is an int pick of ``names[choice]`` or a (weights, row) pair
+    from a matrix the walker mixed at once.  A mixture is one weighted_sum
+    that skips "zero" (exact zero contribution and zero weight gradient).
     """
-    if isinstance(choice, Tensor):
-        choice = (grmc_mixture_weights(tape, choice, lam, k, rng, mode), ...)
     if not isinstance(choice, tuple):
         return branch(names[choice])
     w, row = choice
     return ad.weighted_sum([None if name == "zero" else branch(name) for name in names], w, row)
 
 
-def mixed_edge_forward(tape, x: Tensor, edge_logits, lam, k, rng, mode):
+def mixed_edge_forward(x: Tensor, choice):
     """Identity/Zero edge: the zero branch contributes exactly nothing.
 
-    ``edge_logits`` is a logits row, a (weights, row) pair or an int pick;
-    a picked zero edge is dropped and gives None.
+    ``choice`` is a (weights, row) pair or an int pick; a picked zero edge
+    is dropped and gives None.
     """
-    return _choose(tape, edge_logits, FIRST_LEVEL_OPS, {"identity": x}.get, lam, k, rng, mode)
+    return _choose(choice, FIRST_LEVEL_OPS, {"identity": x}.get)
 
 
-def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops, lam, k, rng, mode) -> Tensor:
+def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops) -> Tensor:
     """One cell: beta-wired slots feed gamma-chosen ops; output sums nodes.
 
     inputs: already edge-transformed predecessor tensors (>= 1);
-    gamma_rows: per intermediate node, the (|ops|,) logits tensor, a
-    (weights, row) pair or an op index;
-    beta_rows: per node, two slot choices, each (2,) logits, a (weights, row)
-    pair or an int pick of 0 (cell input node) or 1 (previous intermediate node);
+    gamma_rows: per intermediate node, a (weights, row) pair over its ops or
+    an op index;
+    beta_rows: per node, two slot choices, each a (weights, row) pair or an
+    int pick of 0 (cell input node) or 1 (previous intermediate node);
     node_ops: per node, list of (name, callable(tape, x, y) -> Tensor).
     """
     if not inputs:
@@ -285,12 +284,9 @@ def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops, lam, k, rng, mod
     node_outputs = []
     for gamma_row, slot_rows, candidates in zip(gamma_rows, beta_rows, node_ops):
         wired = {"in": in_c, "prev": prev}
-        slots = [_choose(tape, row, ("in", "prev"), wired.get, lam, k, rng, mode) for row in slot_rows]
+        slots = [_choose(row, ("in", "prev"), wired.get) for row in slot_rows]
         fns = dict(candidates)
-        prev = _choose(
-            tape, gamma_row, [name for name, _ in candidates],
-            lambda name: fns[name](tape, slots[0], slots[1]), lam, k, rng, mode,
-        )
+        prev = _choose(gamma_row, list(fns), lambda name: fns[name](tape, slots[0], slots[1]))
         node_outputs.append(prev)
     return functools.reduce(ad.add, node_outputs)
 
@@ -343,13 +339,12 @@ def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str, omeg
     genotype's ops.  The weight leaves take gradients iff ``omega_grads``.
     """
     space = net.space
-    lam, k = space.lam, space.k_samples
     leaves, op_leaves = net.weight_leaves(tape, omega_grads)
 
     if isinstance(choices["alpha"], Tensor):  # logits: each matrix's weights at once
         uniforms = _mixture_uniforms(space, choices, rng) if mode == "search" else {}
         choices = {
-            name: grmc_mixture_weights(tape, t, lam, k, rng, mode, uniforms.get(name))
+            name: grmc_mixture_weights(tape, t, space.lam, space.k_samples, rng, mode, uniforms.get(name))
             for name, t in choices.items()
         }
 
@@ -372,19 +367,15 @@ def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str, omeg
     for ci in range(space.n_cells):
         dst = space.n_feature_nodes + ci
         ins = [
-            mixed_edge_forward(tape, node_values[src], choice("alpha", ei), lam, k, rng, mode)
+            mixed_edge_forward(node_values[src], choice("alpha", ei))
             for ei, (src, d) in enumerate(edges)
             if d == dst
         ]
         gamma_rows = [choice("gamma", space.gamma_row(ci, ni)) for ni in nodes]
         beta_rows = [[choice("beta", space.beta_row(ci, ni, slot)) for slot in range(2)] for ni in nodes]
         node_ops = [[(name, bind((ci, ni, name))) for name in SECOND_LEVEL_OPS] for ni in nodes]
-        node_values.append(
-            cell_forward(
-                tape, [x for x in ins if x is not None], gamma_rows, beta_rows, node_ops,
-                lam, k, rng, mode,
-            )
-        )
+        ins = [x for x in ins if x is not None]
+        node_values.append(cell_forward(tape, ins, gamma_rows, beta_rows, node_ops))
 
     return _head(tape, node_values[-1], leaves["head.w"], leaves["head.b"]), leaves
 
@@ -955,8 +946,9 @@ def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule, see
     """Restore (state, optimizers, rng, history, next_epoch) for exact resume.
 
     Raises CheckpointMismatchError unless the checkpoint reads as a zip with
-    a manifest and its arrays, written under the same space, schedule
-    (``epochs`` aside) and, when given, seed.
+    a manifest and the arrays, optimizer steps, RNG state and history it
+    names, written under the same space, schedule (``epochs`` aside) and,
+    when given, seed.
     """
     try:
         with zipfile.ZipFile(path) as zf:
@@ -966,9 +958,15 @@ def load_checkpoint(path, space: SearchSpaceConfig, schedule: TrainSchedule, see
             for name, shape in manifest["tensors"].items():
                 raw = zf.read(f"{name}.f64le")
                 arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    except (OSError, zipfile.BadZipFile, KeyError, json.JSONDecodeError) as err:
+        return _restore(manifest, arrays, space, schedule)
+    except CheckpointMismatchError:
+        raise
+    except (OSError, zipfile.BadZipFile, KeyError, TypeError, ValueError) as err:
         raise CheckpointMismatchError(f"it cannot be read ({type(err).__name__}: {err})") from err
 
+
+def _restore(manifest: dict, arrays: dict, space: SearchSpaceConfig, schedule: TrainSchedule):
+    """load_checkpoint's result from a checked manifest and its arrays."""
     state = SearchState(space, np.random.default_rng(manifest["seed"]))
     for name, array in _state_arrays(state).items():
         array[...] = arrays.pop(name)

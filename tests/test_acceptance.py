@@ -43,6 +43,7 @@ from grnas.search import (
     cell_forward,
     entropy,
     genotype_param_count,
+    grmc_mixture_weights,
     retrain_and_eval,
     run_search,
 )
@@ -254,9 +255,12 @@ def test_criterion_5_gradient_integrity():
                     ("concat_fc", lambda tt, a, b: ops.op_concat_fc(tt, a, b, fw, fb)),
                 ]
 
+            def mix(row):
+                return grmc_mixture_weights(t, row, 0.5, 4, None, "eval"), ...
+
             out = cell_forward(
-                t, [xin], [g0, g1], [[b00, b01], [b10, b11]],
-                [candidates(), candidates()], 0.5, 4, None, "eval",
+                t, [xin], [mix(g0), mix(g1)], [[mix(b00), mix(b01)], [mix(b10), mix(b11)]],
+                [candidates(), candidates()],
             )
             return ad.mean_all(out)
 

@@ -401,6 +401,95 @@ class TestSearchCommand:
         assert list(out_resumed.iterdir()) == []
 
 
+def _edit_manifest(edit):
+    def damage(entries):
+        manifest = json.loads(entries["manifest.json"])
+        edit(manifest)
+        entries["manifest.json"] = json.dumps(manifest).encode()
+
+    return damage
+
+
+def _cut(n):
+    return lambda entries: entries.update({"alpha.f64le": entries["alpha.f64le"][:-n]})
+
+
+# name: (damage done to the checkpoint's {entry: bytes}, the error the refusal names)
+CHECKPOINT_DAMAGE = {
+    "alpha_short_by_3_bytes": (_cut(3), "ValueError: buffer size must be a multiple of element size"),
+    "alpha_short_by_8_bytes": (_cut(8), "ValueError: cannot reshape array of size 17 into shape (9,2)"),
+    "no_optimizer_steps": (_edit_manifest(lambda m: m.pop("optimizer_steps")), "KeyError: 'optimizer_steps'"),
+    "no_alpha_in_tensors": (_edit_manifest(lambda m: m["tensors"].pop("alpha")), "KeyError: 'alpha'"),
+    "short_history_row": (
+        _edit_manifest(lambda m: m.update(history=[[1, 2]])),
+        "TypeError: EpochRecord.__init__() missing 3 required positional arguments",
+    ),
+    "rng_state_without_state": (_edit_manifest(lambda m: m["rng_state"].pop("state")), "KeyError: 'state'"),
+}
+
+RUN = {"task": TINY_TASK, "space": TINY_SPACE, "retrain": TINY_RETRAIN, "seed": 5}
+SEARCH = dict(RUN, schedule=TINY_SCHED)
+CONFIGS = {"search": SEARCH, "eval": RUN, "ablation": dict(SEARCH, lambdas=[0.5], k_grid=[4])}
+LONG_TASK = dict(TINY_TASK, length=8)
+CHANNELS = "task.channels is 8 but space.channels is 16"
+LENGTH = "task.length is 8 but space.length is 4"
+
+# command, config, flags, what the message names, checkpoint damage
+REFUSALS = [
+    *(
+        pytest.param("search", None, [], f"it cannot be read ({error}", damage, id=f"resume-{damage}")
+        for damage, (_, error) in CHECKPOINT_DAMAGE.items()
+    ),
+    *(
+        pytest.param(command, dict(payload, space={}), [], CHANNELS, None, id=f"{command}-channels")
+        for command, payload in CONFIGS.items()
+    ),
+    *(
+        pytest.param(command, dict(payload, task=LONG_TASK), [], LENGTH, None, id=f"{command}-length")
+        for command, payload in CONFIGS.items()
+    ),
+    *(
+        pytest.param(command, payload, ["--seed", "-1"], "seed must be >= 0, got -1", None, id=f"{command}-seed")
+        for command, payload in [*CONFIGS.items(), ("gen-data", {"task": TINY_TASK}), ("estimator-bench", {})]
+    ),
+    *(
+        pytest.param(command, dict(payload, task=dict(TINY_TASK, seed=-3)), [], "task: seed must be >= 0, got -3",
+                     None, id=f"{command}-task-seed")
+        for command, payload in [("search", SEARCH), ("gen-data", {})]
+    ),
+    pytest.param("search", dict(SEARCH, space=dict(TINY_SPACE, tap_seed=-1)), [],
+                 "space: tap_seed must be >= 0, got -1", None, id="search-tap-seed"),
+    pytest.param("search", SEARCH, ["--checkpoint-every", "-2"], "--checkpoint-every must be >= 0, got -2",
+                 None, id="search-checkpoint-every"),
+]
+
+
+@pytest.mark.parametrize("command, payload, flags, named, damage", REFUSALS)
+def test_refused_with_exit_2(search_run, tmp_path, capsys, command, payload, flags, named, damage):
+    """Exit 2 with one ``config error:`` line naming the file or field, and no output."""
+    if damage is not None:
+        _, cfg, out, _ = search_run
+        with zipfile.ZipFile(out / "search.ckpt") as zf:
+            entries = {name: zf.read(name) for name in zf.namelist()}
+        CHECKPOINT_DAMAGE[damage][0](entries)
+        ckpt = tmp_path / "damaged.ckpt"
+        with zipfile.ZipFile(ckpt, "w") as zf:
+            for name, raw in entries.items():
+                zf.writestr(name, raw)
+        flags = ["--resume", str(ckpt)]
+        named = f"config error: checkpoint {ckpt} cannot resume this run: {named}"
+    else:
+        cfg = write_config(tmp_path, "c.json", payload)
+    if command == "eval":
+        flags = [*flags, "--genotype", str(search_run[2] / "genotype.json")]
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out_dir), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert named in err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("K", "8"), ("lambda", True), ("cells", [1]), ("first_level_edges", [["in", "Cell0"]])],

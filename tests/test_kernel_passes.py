@@ -11,8 +11,8 @@ broadcast E_i, 1/p and the row sums along the last axis.
 import numpy as np
 import pytest
 
-from grnas import kernels
-from grnas.kernels import UNIFORM_EPS, _gumbel_argmax, averaged_jvp, logsumexp, row_logsumexp
+from grnas import estimators, kernels
+from grnas.kernels import UNIFORM_EPS, _gumbel_argmax, averaged_jvp, logsumexp
 
 CHUNK_TRIALS = 256
 LAMS = (0.1, 0.37, 0.5, 1.0, 2.0)
@@ -69,10 +69,20 @@ def ref_posterior_softmax(theta, index, k, lam, rng):
 def ref_mixture_softmax(theta, u, lam):
     e = ref_exponentials(u)
     idx = _gumbel_argmax(theta, e[:, 0])
-    log_z = row_logsumexp(theta)
+    log_z = logsumexp(theta)
     at = (np.arange(theta.shape[0]), slice(None), idx)
     post = np.ascontiguousarray(e[:, 1:])  # the in-place passes below are faster on a contiguous block
-    return ref_tempered_softmax(*ref_posterior_q(theta[:, None], log_z[:, None, None], post, at), lam)
+    return ref_tempered_softmax(*ref_posterior_q(theta[:, None], log_z[:, None, None], post, at), lam), idx
+
+
+def ref_grmc_gradient(obj, theta, config, rng):
+    """One GRMC-K estimate as separate draws: a (1, N) Gumbel-max block, then
+    a (K, N) posterior block given its outcome."""
+    index = int(ref_gumbel_max_indices(theta, 1, rng)[0])
+    s = ref_posterior_softmax(theta, index, config.k_samples, config.lam, rng)
+    d = np.eye(theta.shape[0])[index]
+    v = obj.grad(d)
+    return averaged_jvp(s, v[:, None] - v[None, :], config.lam), d, index, obj.value(d)
 
 
 def ref_pooled_conditional(theta, n, rng):
@@ -171,8 +181,6 @@ def test_single_draw_kernels_are_the_broadcast_form_bit_for_bit(n):
     for index in np.flatnonzero(np.isfinite(theta)):
         for k in (1, 13, 1000):
             assert_same_call(kernels.conditional_values, ref_conditional_values, theta, index, k, seed=k)
-            for lam in LAMS:
-                assert_same_call(kernels.posterior_softmax, ref_posterior_softmax, theta, index, k, lam, seed=k)
     for trials in TRIALS:
         assert_same_call(kernels.pooled_conditional, ref_pooled_conditional, theta, trials, seed=trials)
 
@@ -187,9 +195,22 @@ def test_mixture_softmax_is_the_broadcast_form_bit_for_bit(n):
         for k in (1, 16, 100):
             u = rng.random((rows, 1 + k, n))
             for lam in LAMS:
-                assert np.array_equal(
-                    kernels.mixture_softmax(theta, u.copy(), lam), ref_mixture_softmax(theta, u.copy(), lam)
-                )
+                assert_same(kernels.mixture_softmax(theta, u.copy(), lam), ref_mixture_softmax(theta, u.copy(), lam))
+
+
+@pytest.mark.parametrize("n", (2, 5, 9, 20))
+def test_grmc_gradient_is_the_separate_draws_bit_for_bit(n):
+    theta = logits(n, n + 2)
+    cases = np.random.default_rng(n)
+    obj = estimators.QuadraticObjective(cases.normal(size=(n, n)), cases.normal(size=n))
+
+    def grmc(obj, theta, config, rng):
+        est = estimators.grmc_gradient(obj, theta, config, rng)
+        return est.grad_theta, est.outcome.onehot, est.outcome.index, est.value
+
+    for k in (1, 13, 1000):
+        for lam in LAMS:
+            assert_same_call(grmc, ref_grmc_gradient, obj, theta, estimators.EstimatorConfig("grmc", lam, k), seed=k)
 
 
 def test_exponentials_are_the_two_clamp_form_bit_for_bit():

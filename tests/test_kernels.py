@@ -1,6 +1,8 @@
 """The Monte Carlo kernels against the log-space posterior formula, their
 draw order on the shared Generator stream, and their exact invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -190,7 +192,7 @@ def test_neg_inf_logits_are_never_drawn():
     assert all(np.all(np.isfinite(x)) for x in sums)
 
 
-def test_row_logsumexp_is_logsumexp_per_row_bit_for_bit():
+def test_logsumexp_of_a_matrix_is_logsumexp_of_each_row_bit_for_bit():
     rng = np.random.default_rng(40)
     for _ in range(2000):
         rows, n = rng.integers(1, 10), rng.integers(2, 8)
@@ -198,4 +200,12 @@ def test_row_logsumexp_is_logsumexp_per_row_bit_for_bit():
         theta[rng.random(theta.shape) < 0.05] = -np.inf  # never a whole row: its max is finite
         theta[np.arange(rows), rng.integers(0, n, rows)] = rng.normal(size=rows)
         want = np.array([kernels.logsumexp(row) for row in theta])
-        assert np.array_equal(kernels.row_logsumexp(theta), want), theta
+        assert np.array_equal(kernels.logsumexp(theta), want), theta
+
+
+def test_logsumexp_of_an_all_neg_inf_row_is_neg_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.logsumexp(np.full(3, -np.inf)) == -np.inf
+        got = kernels.logsumexp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
+    assert np.array_equal(got, [-np.inf, kernels.logsumexp(np.zeros(2))])

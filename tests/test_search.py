@@ -104,7 +104,7 @@ class TestMixedEdge:
         for mode in ("search", "eval"):
             tape = Tape()
             out = mixed_edge_forward(
-                tape, tape.tensor(x), tape.tensor(logits), 0.1, 50, np.random.default_rng(2), mode
+                tape.tensor(x), _mix(tape, tape.tensor(logits), 0.1, 50, np.random.default_rng(2), mode)
             )
             assert np.max(np.abs(out.data - x)) < 1e-9, mode
 
@@ -115,7 +115,7 @@ class TestMixedEdge:
         for mode in ("search", "eval"):
             tape = Tape()
             out = mixed_edge_forward(
-                tape, tape.tensor(x), tape.tensor(logits), 0.1, 50, np.random.default_rng(4), mode
+                tape.tensor(x), _mix(tape, tape.tensor(logits), 0.1, 50, np.random.default_rng(4), mode)
             )
             assert np.max(np.abs(out.data)) < 1e-9, mode
 
@@ -213,6 +213,15 @@ class TestMixedEdge:
         tape = Tape()
         with pytest.raises(ValueError):
             grmc_mixture_weights(tape, tape.tensor(np.zeros(2)), 0.5, 10, None, "train")
+
+
+def _mix(tape, logits, lam, k, rng, mode):
+    """A logits row's mixture weights as the walker passes them: a (weights, ...) pair."""
+    return grmc_mixture_weights(tape, logits, lam, k, rng, mode), ...
+
+
+def _eval_mix(tape, logits):
+    return _mix(tape, tape.tensor(logits), 0.1, 8, None, "eval")
 
 
 def _fixed_candidates(tape_unused, channels, weight_tensors=None):
@@ -331,12 +340,10 @@ class TestCellForward:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 4))
         tape = Tape()
-        gamma = [tape.tensor(np.array([40.0, -40.0, -40.0, -40.0, -40.0])) for _ in range(2)]
-        beta = [[tape.tensor(np.zeros(2)) for _ in range(2)] for _ in range(2)]
+        gamma = [_eval_mix(tape, np.array([40.0, -40.0, -40.0, -40.0, -40.0])) for _ in range(2)]
+        beta = [[_eval_mix(tape, np.zeros(2)) for _ in range(2)] for _ in range(2)]
         node_ops = [_fixed_candidates(tape, 3) for _ in range(2)]
-        out = cell_forward(
-            tape, [tape.tensor(x)], gamma, beta, node_ops, 0.1, 8, np.random.default_rng(0), "eval"
-        )
+        out = cell_forward(tape, [tape.tensor(x)], gamma, beta, node_ops)
         assert np.max(np.abs(out.data)) < 1e-30
 
     def test_sum_mass_cell_hand_trace(self):
@@ -345,21 +352,19 @@ class TestCellForward:
         x = rng.normal(size=(2, 3, 4))
         tape = Tape()
         one_hot_sum = np.array([-40.0, 40.0, -40.0, -40.0, -40.0])
-        gamma = [tape.tensor(one_hot_sum) for _ in range(2)]
+        gamma = [_eval_mix(tape, one_hot_sum) for _ in range(2)]
         beta = [
-            [tape.tensor(np.array([40.0, -40.0])), tape.tensor(np.array([-40.0, 40.0]))]
+            [_eval_mix(tape, np.array([40.0, -40.0])), _eval_mix(tape, np.array([-40.0, 40.0]))]
             for _ in range(2)
         ]
         node_ops = [_fixed_candidates(tape, 3) for _ in range(2)]
-        out = cell_forward(
-            tape, [tape.tensor(x)], gamma, beta, node_ops, 0.1, 8, np.random.default_rng(0), "eval"
-        )
+        out = cell_forward(tape, [tape.tensor(x)], gamma, beta, node_ops)
         assert np.allclose(out.data, 5.0 * x, atol=1e-10)
 
     def test_requires_an_input(self):
         tape = Tape()
         with pytest.raises(ValueError):
-            cell_forward(tape, [], [], [], [], 0.1, 8, None, "eval")
+            cell_forward(tape, [], [], [], [])
 
     def test_eval_cell_grad_check(self):
         rng = np.random.default_rng(6)
@@ -383,16 +388,15 @@ class TestCellForward:
                     ("concat_fc", lambda t, a, b: ops.op_concat_fc(t, a, b, fcw, fcb)),
                 ]
 
+            def mix(row):
+                return _mix(tape, row, 0.5, 4, None, "eval")
+
             out = cell_forward(
                 tape,
                 [x],
-                [g0, g1],
-                [[b00, b01], [b10, b11]],
+                [mix(g0), mix(g1)],
+                [[mix(b00), mix(b01)], [mix(b10), mix(b11)]],
                 [candidates(), candidates()],
-                0.5,
-                4,
-                None,
-                "eval",
             )
             return ad.mean_all(out)
 
@@ -504,7 +508,7 @@ class TestBilevel:
         for _ in range(200):
             tape = Tape()
             alpha_t = tape.tensor(alpha, requires_grad=True)
-            out = mixed_edge_forward(tape, tape.tensor(x), alpha_t, 0.5, 8, rng, "search")
+            out = mixed_edge_forward(tape.tensor(x), _mix(tape, alpha_t, 0.5, 8, rng, "search"))
             diff = ad.sub(out, tape.constant(x))
             tape.backward(ad.mean_all(ad.mul(diff, diff)))
             opt.step({"alpha": alpha}, {"alpha": alpha_t.grad})
