@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gumbel import softmax
+from .gumbel import log_softmax, softmax
 
 class ShapeError(ValueError):
     """Operand shapes incompatible for the requested primitive."""
@@ -311,10 +311,7 @@ def softmax_last(a: Tensor) -> Tensor:
 
 
 def log_softmax_last(a: Tensor) -> Tensor:
-    z = a.data
-    m = z.max(axis=-1, keepdims=True)
-    shifted = z - m
-    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = log_softmax(a.data)
 
     def bw(g):
         accumulate(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))

@@ -83,6 +83,13 @@ def softmax(z, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def log_softmax(z, axis=-1):
+    """Numerically stable log-softmax (max-subtracted)."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
 def gumbel_pdf(x, params: GumbelParams = STANDARD):
     z = (np.asarray(x, dtype=np.float64) - params.mu) / params.beta
     return np.exp(-z - np.exp(-z)) / params.beta

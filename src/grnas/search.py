@@ -419,9 +419,7 @@ def cross_entropy_loss(tape, logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of two-class logits, one tape entry with the
     arithmetic of log_softmax_last, a one-hot mul, sum_all and scale."""
     onehot = np.eye(2)[np.asarray(labels, dtype=np.int64)]
-    z = logits.data
-    shifted = z - z.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = gumbel.log_softmax(logits.data)
     picked = logp * onehot
     total = np.asarray(picked.sum())
     scale = -1.0 / labels.shape[0]
@@ -688,6 +686,13 @@ def genotype_param_count(genotype: Genotype, space: SearchSpaceConfig) -> int:
 # discrete (derived) network: retraining and evaluation
 
 
+# Scoring runs the network over blocks of this many samples, so its (n, C, L)
+# temporaries stay a block's size (128 KiB at C = 16, L = 8) whatever the split
+# size.  It is a multiple of 4, the BLAS row unroll of the head's product, so
+# each row rounds as in a one-pass product and the scores keep its bits.
+SCORE_BLOCK = 128
+
+
 class DiscreteNetwork(_FusionWeights):
     """The derived architecture with fresh weights; no sampling anywhere.
 
@@ -719,9 +724,16 @@ class DiscreteNetwork(_FusionWeights):
         return _walk(tape, self, self.arch_arrays(), xa, xb, None, "eval", omega_grads)
 
     def scores(self, xa, xb) -> np.ndarray:
-        """Deterministic class-1 probabilities, from a pass that records no adjoints."""
-        logits, _ = self.forward(Tape(), xa, xb, omega_grads=False)
-        return gumbel.softmax(logits.data)[:, 1]
+        """Deterministic class-1 probabilities, from passes that record no
+        adjoints, over consecutive blocks of SCORE_BLOCK samples."""
+        cuts = list(range(SCORE_BLOCK, xa.shape[0], SCORE_BLOCK))
+        if cuts and xa.shape[0] - cuts[-1] == 1:
+            cuts.pop()  # a one-row product takes another BLAS path: join the block before
+        blocks = []
+        for xa_block, xb_block in zip(np.split(xa, cuts), np.split(xb, cuts)):
+            logits, _ = self.forward(Tape(), xa_block, xb_block, omega_grads=False)
+            blocks.append(gumbel.softmax(logits.data)[:, 1])
+        return np.concatenate(blocks)
 
 
 def train_discrete(net: DiscreteNetwork, train_split, schedule: TrainSchedule, rng) -> list:
@@ -830,6 +842,7 @@ def run_search(
     per_epoch = max(n // schedule.batch_size, 1)
     bs = schedule.batch_size
     genotype_trace = []
+    saved_epoch = None
 
     for epoch in range(start_epoch, schedule.epochs):
         a_opt.lr = schedule.arch_lr * schedule.arch_lr_decay**epoch
@@ -866,11 +879,12 @@ def run_search(
         genotype_trace.append((epoch + 1, snapshot))
         if checkpoint_path is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
             save_checkpoint(checkpoint_path, state, w_opt, a_opt, rng, history, epoch + 1, seed, schedule)
+            saved_epoch = epoch + 1
         if _entropy_converged(history, schedule.entropy_tol, schedule.entropy_patience):
             break
 
     stopped = history[-1].epoch if history else 0
-    if checkpoint_path is not None:
+    if checkpoint_path is not None and saved_epoch != stopped:
         save_checkpoint(checkpoint_path, state, w_opt, a_opt, rng, history, stopped, seed, schedule)
     genotype = derive_architecture(state, seed=seed, epoch=stopped)
     return SearchResult(
@@ -983,5 +997,11 @@ def _restore(manifest: dict, arrays: dict, space: SearchSpaceConfig, schedule: T
 
     rng = np.random.default_rng(manifest["seed"])
     rng.bit_generator.state = manifest["rng_state"]
-    history = [EpochRecord(*row) for row in manifest["history"]]
+    history = []
+    for row in manifest["history"]:
+        record = EpochRecord(*row)
+        epoch, *values = row
+        if type(epoch) is not int or any(type(v) not in (int, float) for v in values):
+            raise ValueError(f"history row {row!r} is not an int epoch and four real numbers")
+        history.append(record)
     return state, w_opt, a_opt, rng, history, manifest["epoch"]

@@ -424,6 +424,14 @@ CHECKPOINT_DAMAGE = {
         _edit_manifest(lambda m: m.update(history=[[1, 2]])),
         "TypeError: EpochRecord.__init__() missing 3 required positional arguments",
     ),
+    "history_value_not_a_number": (
+        _edit_manifest(lambda m: m["history"].__setitem__(0, [1, 0.5, 0.5, "x", 0.1])),
+        "ValueError: history row [1, 0.5, 0.5, 'x', 0.1] is not an int epoch and four real numbers",
+    ),
+    "history_epoch_a_bool": (
+        _edit_manifest(lambda m: m["history"].__setitem__(0, [True, 0.5, 0.5, 0.5, 0.1])),
+        "ValueError: history row [True, 0.5, 0.5, 0.5, 0.1] is not an int epoch",
+    ),
     "rng_state_without_state": (_edit_manifest(lambda m: m["rng_state"].pop("state")), "KeyError: 'state'"),
 }
 

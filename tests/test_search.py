@@ -2,12 +2,13 @@ import copy
 import dataclasses
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grnas import autodiff as ad
-from grnas import data, kernels, ops
+from grnas import data, gumbel, kernels, ops
 from grnas import search as search_module
 from grnas.autodiff import Tape, grad_check
 from grnas.search import (
@@ -694,6 +695,47 @@ class TestDiscreteNetwork:
             DiscreteNetwork(Genotype(edges, g.cells, 0.5, 16, 0, 0), space, None)
 
 
+@pytest.fixture(scope="module")
+def trained_networks():
+    """Two derived networks at the default space, each trained for 2 epochs,
+    and a 1,536-sample test split."""
+    space = SearchSpaceConfig()
+    splits = data.gen_synthetic_bimodal(data.SynthTaskConfig(n_test=1536))
+    nets = []
+    for genotype, seed in ((mixed_genotype(space), 1), (sum_cell_genotype(space), 2)):
+        rng = np.random.default_rng(seed)
+        net = DiscreteNetwork(genotype, space, rng)
+        train_discrete(net, splits["train"], TrainSchedule(epochs=2, batch_size=64), rng)
+        nets.append(net)
+    return nets, splits["test"]
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 513, 515])
+    def test_scores_are_the_one_pass_scores_bit_for_bit(self, trained_networks, n):
+        nets, test = trained_networks
+        xa, xb = test.xa[:n], test.xb[:n]
+        for net in nets:
+            logits, _ = net.forward(Tape(), xa, xb, omega_grads=False)
+            one_pass = gumbel.softmax(logits.data)[:, 1]
+            assert np.array_equal(net.scores(xa, xb), one_pass)
+
+    def test_scoring_memory_does_not_grow_with_the_split(self, trained_networks):
+        nets, test = trained_networks
+        net = nets[0]
+        net.scores(test.xa[:256], test.xb[:256])  # warm-up: lazily built module state
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (256, 1536):
+                tracemalloc.reset_peak()
+                net.scores(test.xa[:n], test.xb[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 class TestNoReferenceCycles:
     """A step's tape, closures and arrays are freed by reference count as soon
     as it returns: the cyclic collector finds nothing after it."""
@@ -859,6 +901,31 @@ class TestSearchLoop:
         resumed = run_search(splits["train"], splits["val"], space, sched, seed=9, resume_from=ckpt)
         assert built == {"SearchState": 1, "Adam": 2}
         assert resumed.stopped_epoch == 2
+
+    @pytest.mark.parametrize("every, saved", [(0, [4]), (1, [1, 2, 3, 4]), (3, [3, 4])])
+    def test_final_checkpoint_is_written_once(self, tmp_path, monkeypatch, every, saved):
+        splits = tiny_splits(n=48)
+        space = tiny_space(k_samples=8)
+        sched = TrainSchedule(epochs=4, batch_size=8, entropy_tol=0.0)
+        ckpt = tmp_path / "c.ckpt"
+        epochs = []
+        save = search_module.save_checkpoint
+
+        def counting(path, state, w_opt, a_opt, rng, history, epoch, *rest):
+            epochs.append(epoch)
+            save(path, state, w_opt, a_opt, rng, history, epoch, *rest)
+
+        monkeypatch.setattr(search_module, "save_checkpoint", counting)
+        run_search(splits["train"], splits["val"], space, sched, seed=9, checkpoint_path=ckpt,
+                   checkpoint_every=every)
+        assert epochs == saved
+        # a resume that runs no epoch still writes its checkpoint
+        epochs.clear()
+        again = tmp_path / "again.ckpt"
+        run_search(splits["train"], splits["val"], space, sched, seed=9, checkpoint_path=again,
+                   checkpoint_every=every, resume_from=ckpt)
+        assert epochs == [4]
+        assert again.read_bytes() == ckpt.read_bytes()
 
     def test_resume_refuses_another_seed(self, tmp_path):
         splits = tiny_splits(n=48)
