@@ -16,8 +16,10 @@ inputs' through ``accumulate``, computing a product only for an input that
 takes a gradient.  The fusion ops and the search's mixture weights, head
 and loss are such primitives, one tape entry each, and their adjoints are
 plain formulas.  Every ``.grad`` is laid out like its ``.data``: backward
-seeds the loss's with ``ones_like`` and ``accumulate``, the only other
-writer, copies a first write into that layout.  An adjoint thus gets its
+seeds the loss's with ``ones_like``, a parameter group's leaves start from
+zeroed views laid out like theirs (``search.ParamGroup``), and
+``accumulate``, the only other writer, copies a first write into that
+layout.  An adjoint thus gets its
 output's gradient in the output's layout, and views of it that mirror the
 forward's feed BLAS products and row sums the layouts the replaced chain's
 stored gradients had, so they round the same.  Elementwise arithmetic
@@ -96,7 +98,8 @@ def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
 
     The one place a gradient is copied: a whole first write stores 0 + g
     laid out like ``t.data`` (a -0 is stored as +0), so ``t.grad`` never
-    aliases ``g`` and has its tensor's layout.
+    aliases ``g`` and has its tensor's layout.  Adding into a zeroed
+    ``t.grad`` stores the same bits.
     """
     if not t.requires_grad:
         return

@@ -170,7 +170,10 @@ def read_labels_csv(path) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            sid, lab = (int(v) for v in line.split(","))
+            try:
+                sid, lab = (int(v) for v in line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {line!r} is not two integers 'sample_id,label'") from None
             if lab not in (0, 1):
                 raise ValueError(f"{path}:{lineno}: label {lab} is not 0 or 1")
             if sid in labels:

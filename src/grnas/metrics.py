@@ -22,15 +22,12 @@ def compute_auc(scores, labels) -> float:
         raise ValueError("AUC needs at least one positive and one negative sample")
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
+    # average ranks over tie groups (1-based): the group at sorted positions
+    # start..end takes 0.5 * (start + end) + 1, an exact half
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    # average ranks over tie groups (1-based)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -148,40 +148,86 @@ def make_taps(space: SearchSpaceConfig) -> list:
     return taps
 
 
+class ParamGroup:
+    """Named float64 arrays held as views of one contiguous buffer ``data``.
+
+    ``arrays`` maps each name to its view of ``data``, made once and never
+    rebound: Adam and load_checkpoint write the views in place, and the ops
+    read them at call time.  ``grad`` is the group's gradient buffer in the
+    same layout, whose views ``leaves`` hands out.  Elementwise work on
+    ``data`` gives each element the bits it gets from the same work on each
+    array.
+    """
+
+    def __init__(self, arrays: dict):
+        self._layout = []  # (name, start, stop, shape)
+        offset = 0
+        for name, a in arrays.items():
+            self._layout.append((name, offset, offset + a.size, a.shape))
+            offset += a.size
+        self.data = np.concatenate([np.ravel(a) for a in arrays.values()])
+        self.grad = np.zeros_like(self.data)
+        self.arrays = self.views(self.data)
+        self._grad_views = list(self.views(self.grad).values())
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Each name's view of ``flat``, a buffer in this group's layout."""
+        return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
+
+    def leaves(self, tape, requires_grad: bool) -> dict:
+        """A leaf tensor per array.  Leaves that take gradients start from
+        views of the zeroed ``grad``, so accumulate's first write stores
+        0 + g there and a leaf that gets no gradient reads zero."""
+        leaves = {name: Tensor(a, tape, requires_grad) for name, a in self.arrays.items()}
+        if requires_grad:
+            self.grad[...] = 0.0
+            for leaf, g in zip(leaves.values(), self._grad_views):
+                leaf.grad = g
+        return leaves
+
+
 class _FusionWeights:
     """Op weights keyed (cell, node, op name), the head and the fixed taps.
 
     The search state holds every candidate op at every node, the derived
     network only its genotype's op; both keep the same weight names and
-    the same alpha/gamma/beta row layout, so the walker reads either.
+    the same alpha/gamma/beta row layout, so the walker reads either.  The
+    op weights and the head are one parameter group, ``omega``.
     """
 
     def __init__(self, space: SearchSpaceConfig, op_instances: dict, rng: np.random.Generator):
         self.space = space
         self.ops = op_instances
         c = space.channels
-        self.head_w = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=(c, 2))
-        self.head_b = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=2)
+        head_w = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=(c, 2))
+        head_b = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), size=2)
         self.taps = make_taps(space)
-        # (op key, weight name, instance, k) in sorted op order, named once;
-        # the arrays are read at call time (Adam and load_checkpoint write them in place)
+        self.flag_taps()
+        # (op key, weight name, index in the op's weights) in sorted op order, named once
         self._op_weights = [
-            ((ci, ni, name), f"cell{ci}.node{ni}.{name}.w{k}", inst, k)
+            ((ci, ni, name), f"cell{ci}.node{ni}.{name}.w{k}", k)
             for (ci, ni, name), inst in sorted(op_instances.items())
             for k in range(len(inst.weights))
         ]
+        weights = {name: self.ops[key].weights[k] for key, name, k in self._op_weights}
+        self.omega = ParamGroup({**weights, "head.w": head_w, "head.b": head_b})
+        for key, name, k in self._op_weights:  # each op holds its views of the group
+            self.ops[key].weights[k] = self.omega.arrays[name]
+
+    def flag_taps(self) -> None:
+        """Mark the taps equal to the identity, which the walker passes
+        through; rerun after writing a tap."""
+        eye = np.eye(self.space.channels)
+        self.identity_taps = [np.array_equal(tap, eye) for tap in self.taps]
 
     def omega_arrays(self) -> dict:
-        out = {name: inst.weights[k] for _, name, inst, k in self._op_weights}
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
+        return self.omega.arrays
 
     def weight_leaves(self, tape, requires_grad: bool):
         """(leaf tensor per omega_arrays name, each op's weight leaves by op key)."""
-        leaves = {name: tape.tensor(w, requires_grad) for name, w in self.omega_arrays().items()}
+        leaves = self.omega.leaves(tape, requires_grad)
         by_op = {key: [] for key in self.ops}
-        for key, name, _, _ in self._op_weights:
+        for key, name, _ in self._op_weights:
             by_op[key].append(leaves[name])
         return leaves, by_op
 
@@ -190,19 +236,17 @@ class _FusionWeights:
 
 
 class SearchState(_FusionWeights):
-    """All learnable parameters of a search run.
+    """All learnable parameters of a search run, in two parameter groups.
 
-    alpha: (edges, 2) first-level logits over (identity, zero);
-    gamma: (cells * nodes, |second-level ops|) operation logits;
-    beta:  (cells * nodes * 2 slots, 2) input-wiring logits over
-           (cell input node, previous intermediate node);
+    arch, the views alpha, gamma and beta:
+      alpha: (edges, 2) first-level logits over (identity, zero);
+      gamma: (cells * nodes, |second-level ops|) operation logits;
+      beta:  (cells * nodes * 2 slots, 2) input-wiring logits over
+             (cell input node, previous intermediate node);
     omega: every candidate op's weights at every cell node, plus the head.
     """
 
     def __init__(self, space: SearchSpaceConfig, rng: np.random.Generator):
-        self.alpha = np.zeros((len(space.first_level_edges()), len(FIRST_LEVEL_OPS)))
-        self.gamma = np.zeros((space.n_cells * space.nodes_per_cell, len(SECOND_LEVEL_OPS)))
-        self.beta = np.zeros((space.n_cells * space.nodes_per_cell * 2, 2))
         op_instances = {
             (ci, ni, name): OpInstance(descriptor(name, space.channels), rng)
             for ci in range(space.n_cells)
@@ -210,6 +254,12 @@ class SearchState(_FusionWeights):
             for name in SECOND_LEVEL_OPS
         }
         super().__init__(space, op_instances, rng)
+        self.arch = ParamGroup({
+            "alpha": np.zeros((len(space.first_level_edges()), len(FIRST_LEVEL_OPS))),
+            "gamma": np.zeros((space.n_cells * space.nodes_per_cell, len(SECOND_LEVEL_OPS))),
+            "beta": np.zeros((space.n_cells * space.nodes_per_cell * 2, 2)),
+        })
+        self.alpha, self.gamma, self.beta = self.arch.arrays.values()
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +407,9 @@ def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str, omeg
 
     modal = [tape.constant(xa), tape.constant(xb)]
     node_values = []
-    for fi, tap in enumerate(net.taps):
+    for fi, (tap, identity) in enumerate(zip(net.taps, net.identity_taps)):
         src = modal[0] if fi < space.n_image_features else modal[1]
-        eye = np.array_equal(tap, np.eye(space.channels))
-        node_values.append(src if eye else ops.channel_linear(src, tape.constant(tap)))
+        node_values.append(src if identity else ops.channel_linear(src, tape.constant(tap)))
 
     edges = space.first_level_edges()
     nodes = range(space.nodes_per_cell)
@@ -410,7 +459,7 @@ def network_forward(tape, state: SearchState, xa, xb, rng, mode: str, grads: str
     """
     if grads not in ("omega", "arch", "all"):
         raise ValueError(f"grads must be 'omega', 'arch' or 'all', got {grads!r}")
-    arch = {name: tape.tensor(a, grads != "omega") for name, a in state.arch_arrays().items()}
+    arch = state.arch.leaves(tape, grads != "omega")
     logits, leaves = _walk(tape, state, arch, xa, xb, rng, mode, grads != "arch")
     return logits, {**arch, **leaves}
 
@@ -436,7 +485,11 @@ def cross_entropy_loss(tape, logits: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a dict of named arrays (in-place)."""
+    """Adaptive-moment optimizer over one parameter buffer, updated in place.
+
+    A parameter group's ``data`` and ``grad`` step in one elementwise pass,
+    with the moments as one buffer each, made at the first step.
+    """
 
     def __init__(self, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         self.lr = lr
@@ -444,46 +497,43 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.moments = {}
+        self.moments = None  # (m, v), each laid out like the parameters
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         if self.lr == 0.0:
             return  # bitwise no-op contract for zero learning rates
         self.step_count += 1
         b1, b2 = self.betas
         correction1 = 1.0 - b1**self.step_count
         correction2 = 1.0 - b2**self.step_count
-        for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p)
-            if self.weight_decay:
-                g = g + self.weight_decay * p
-            if name not in self.moments:
-                self.moments[name] = (np.zeros_like(p), np.zeros_like(p))
-            m, v = self.moments[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        g = grads + self.weight_decay * params if self.weight_decay else grads
+        if self.moments is None:
+            self.moments = (np.zeros_like(params), np.zeros_like(params))
+        m, v = self.moments
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        params -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
-def _descend(forward, batch, opt: Adam, params: dict, failure: str) -> float:
-    """One cross-entropy step of ``opt`` on ``params`` over (xa, xb, labels).
+def _descend(forward, batch, opt: Adam, group: ParamGroup, failure: str) -> float:
+    """One cross-entropy step of ``opt`` on the parameter group ``group``
+    over (xa, xb, labels).
 
-    ``forward(tape, xa, xb)`` returns (logits, leaves); a non-finite loss
-    raises TrainingDivergedError with ``failure`` formatted by its value.
+    ``forward(tape, xa, xb)`` returns (logits, leaves) and takes the group's
+    gradients, which land in ``group.grad``; a non-finite loss raises
+    TrainingDivergedError with ``failure`` formatted by its value.
     """
     xa, xb, labels = batch
     tape = Tape()
-    logits, leaves = forward(tape, xa, xb)
+    logits, _ = forward(tape, xa, xb)
     loss = cross_entropy_loss(tape, logits, labels)
     value = loss.item()
     if not np.isfinite(value):
         raise TrainingDivergedError(failure.format(value))
     tape.backward(loss)
-    opt.step(params, {name: leaves[name].grad for name in params})  # None reads as zero
+    opt.step(group.data, group.grad)
     return value
 
 
@@ -499,11 +549,10 @@ def bilevel_train_step(state, train_batch, val_batch, schedule, rng, w_opt, a_op
         return lambda tape, xa, xb: network_forward(tape, state, xa, xb, rng, "search", grads)
 
     train_loss = _descend(
-        forward("omega"), train_batch, w_opt, state.omega_arrays(), "non-finite train loss {} at weight update"
+        forward("omega"), train_batch, w_opt, state.omega, "non-finite train loss {} at weight update"
     )
     val_loss = _descend(
-        forward("arch"), val_batch, a_opt, state.arch_arrays(),
-        "non-finite validation loss {} at architecture update",
+        forward("arch"), val_batch, a_opt, state.arch, "non-finite validation loss {} at architecture update"
     )
     return train_loss, val_loss
 
@@ -718,7 +767,7 @@ class DiscreteNetwork(_FusionWeights):
     params = _FusionWeights.omega_arrays
 
     def param_count(self) -> int:
-        return int(sum(w.size for w in self.params().values()))
+        return int(self.omega.data.size)
 
     def forward(self, tape, xa, xb, omega_grads: bool = True):
         return _walk(tape, self, self.arch_arrays(), xa, xb, None, "eval", omega_grads)
@@ -749,7 +798,7 @@ def train_discrete(net: DiscreteNetwork, train_split, schedule: TrainSchedule, r
         for start in range(0, n - schedule.batch_size + 1, schedule.batch_size):
             sel = order[start : start + schedule.batch_size]
             batch = (xa[sel], xb[sel], labels[sel])
-            epoch_loss += _descend(net.forward, batch, opt, net.params(), "non-finite retrain loss {}")
+            epoch_loss += _descend(net.forward, batch, opt, net.omega, "non-finite retrain loss {}")
             batches += 1
         losses.append(epoch_loss / max(batches, 1))
     return losses
@@ -909,10 +958,11 @@ def _state_arrays(state: SearchState) -> dict:
 
 def _checkpoint_arrays(state: SearchState, w_opt: Adam, a_opt: Adam) -> dict:
     arrays = _state_arrays(state)
-    for prefix, opt in (("w_opt", w_opt), ("a_opt", a_opt)):
-        for name, (m, v) in opt.moments.items():
-            arrays[f"{prefix}.m.{name}"] = m
-            arrays[f"{prefix}.v.{name}"] = v
+    for prefix, opt, group in (("w_opt", w_opt, state.omega), ("a_opt", a_opt, state.arch)):
+        if opt.moments is not None:  # each moment is written per named view
+            for kind, moment in zip("mv", opt.moments):
+                for name, view in group.views(moment).items():
+                    arrays[f"{prefix}.{kind}.{name}"] = view
     return arrays
 
 
@@ -984,16 +1034,17 @@ def _restore(manifest: dict, arrays: dict, space: SearchSpaceConfig, schedule: T
     state = SearchState(space, np.random.default_rng(manifest["seed"]))
     for name, array in _state_arrays(state).items():
         array[...] = arrays.pop(name)
+    state.flag_taps()
 
     w_opt, a_opt = _optimizers(schedule)
     w_opt.step_count = manifest["optimizer_steps"]["w_opt"]
     a_opt.step_count = manifest["optimizer_steps"]["a_opt"]
-    for prefix, opt in (("w_opt", w_opt), ("a_opt", a_opt)):
-        moment_names = sorted(
-            {n[len(prefix) + 3 :] for n in arrays if n.startswith(f"{prefix}.m.")}
-        )
-        for name in moment_names:
-            opt.moments[name] = (arrays[f"{prefix}.m.{name}"], arrays[f"{prefix}.v.{name}"])
+    for prefix, opt, group in (("w_opt", w_opt, state.omega), ("a_opt", a_opt, state.arch)):
+        if any(name.startswith(f"{prefix}.m.") for name in arrays):
+            opt.moments = (np.zeros_like(group.data), np.zeros_like(group.data))
+            for kind, moment in zip("mv", opt.moments):
+                for name, view in group.views(moment).items():
+                    view[...] = arrays[f"{prefix}.{kind}.{name}"]
 
     rng = np.random.default_rng(manifest["seed"])
     rng.bit_generator.state = manifest["rng_state"]

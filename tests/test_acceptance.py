@@ -17,6 +17,7 @@ import pytest
 from grnas import autodiff as ad
 from grnas import data, ops
 from grnas.autodiff import grad_check
+from grnas.cli import _map_units
 from grnas.cli import main as cli_main
 from grnas.estimators import (
     EstimatorConfig,
@@ -71,11 +72,31 @@ def ks_statistic(samples, cdf_at):
 GRID_LAMBDAS = (0.1, 0.5, 1.0)
 GRID_K = (10, 100, 1000)
 GRID_SEED = 2024
+GRID_TRIALS = 10**5
+
+
+def _grid_cell(cell, _pool_seed):
+    """STGS and GRMC-K statistics of one (objective, lambda) cell.  The cell
+    seeds from its grid index, so the seed the pool derives is unused."""
+    obj, theta, lam, seed = cell
+    stgs = estimator_stats(obj, theta, EstimatorConfig("stgs", lam), GRID_TRIALS, np.random.default_rng(seed))
+    grmc = {
+        k: estimator_stats(
+            obj,
+            theta,
+            EstimatorConfig("grmc", lam, k),
+            GRID_TRIALS,
+            np.random.default_rng(seed),  # shared seed: common forward outcomes
+        )
+        for k in GRID_K
+    }
+    return stgs, grmc
 
 
 @pytest.fixture(scope="module")
 def estimator_grid():
-    """STGS + GRMC-K statistics for both objectives over the full grid."""
+    """STGS + GRMC-K statistics for both objectives over the full grid, one
+    cell per unit of the command's process pool."""
     t0 = time.time()
     n = 5
     theta = np.linspace(-0.5, 0.5, n)
@@ -86,26 +107,13 @@ def estimator_grid():
         "linear": LinearObjective(c),
         "quadratic": QuadraticObjective(rng.normal(size=(n, n)), rng.normal(size=n)),
     }
-    trials = 10**5
-    grid = {}
     cells = [(obj_name, lam) for obj_name in objectives for lam in GRID_LAMBDAS]
-    for i, (obj_name, lam) in enumerate(cells):
-        obj = objectives[obj_name]
-        seed = [GRID_SEED, i]  # from the grid index, not hash(): str hashes vary per process
-        stgs = estimator_stats(
-            obj, theta, EstimatorConfig("stgs", lam), trials, np.random.default_rng(seed)
-        )
-        grmc = {
-            k: estimator_stats(
-                obj,
-                theta,
-                EstimatorConfig("grmc", lam, k),
-                trials,
-                np.random.default_rng(seed),  # shared seed: common forward outcomes
-            )
-            for k in GRID_K
-        }
-        grid[(obj_name, lam)] = (stgs, grmc)
+    units = [
+        # seeded from the grid index, not hash(): str hashes vary per process
+        (objectives[obj_name], theta, lam, [GRID_SEED, i])
+        for i, (obj_name, lam) in enumerate(cells)
+    ]
+    grid = dict(zip(cells, _map_units(_grid_cell, GRID_SEED, units)))
     return grid, time.time() - t0
 
 

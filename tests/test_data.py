@@ -122,6 +122,13 @@ class TestIngestion:
         with pytest.raises(ValueError, match=r"labels\.csv:3: label 2 is not 0 or 1"):
             data.read_labels_csv(bad)
 
+    @pytest.mark.parametrize("row", ["1,0,7", "1", "x,0", "1,0.5"])
+    def test_row_not_two_integers_names_the_file_and_line(self, tmp_path, row):
+        bad = tmp_path / "labels.csv"
+        bad.write_text(f"sample_id,label\n0,1\n{row}\n")
+        with pytest.raises(ValueError, match=rf"labels\.csv:3: '{row}' is not two integers"):
+            data.read_labels_csv(bad)
+
     def test_repeated_sample_id_rejected(self, tmp_path):
         bad = tmp_path / "labels.csv"
         bad.write_text("sample_id,label\n0,1\n1,0\n1,1\n")

@@ -72,3 +72,37 @@ def test_classification_report_consistency():
     assert rep.param_count == 11
     d = rep.to_dict()
     assert d["confusion"] == {"tp": 2, "fp": 1, "tn": 2, "fn": 1}
+
+
+def loop_auc(scores, labels):
+    """The per-sample tie-group loop that compute_auc's vectorized ranks replaced."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 512, 1000])
+@pytest.mark.parametrize("kind", ["tie_heavy_integers", "continuous"])
+def test_vectorized_ranks_are_the_loop_bit_for_bit(n, kind):
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed])
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (1, 0)
+        if kind == "continuous":
+            scores = rng.random(n)
+        else:
+            scores = rng.integers(0, max(n // 8, 2), size=n).astype(np.float64)
+        assert compute_auc(scores, labels) == loop_auc(scores, labels)

@@ -512,7 +512,7 @@ class TestBilevel:
             out = mixed_edge_forward(tape.tensor(x), _mix(tape, alpha_t, 0.5, 8, rng, "search"))
             diff = ad.sub(out, tape.constant(x))
             tape.backward(ad.mean_all(ad.mul(diff, diff)))
-            opt.step({"alpha": alpha}, {"alpha": alpha_t.grad})
+            opt.step(alpha, alpha_t.grad)
         probs = np.exp(alpha) / np.exp(alpha).sum()
         assert probs[0] > 0.9
 
@@ -773,7 +773,7 @@ class TestNoReferenceCycles:
         train = splits["train"]
         batch, opt = (train.xa[:8], train.xb[:8], train.labels[:8]), Adam(1e-3)
         self.assert_leaves_no_cycles(
-            lambda: search_module._descend(net.forward, batch, opt, net.params(), "{}")
+            lambda: search_module._descend(net.forward, batch, opt, net.omega, "{}")
         )
 
     def test_scores(self):
@@ -829,6 +829,232 @@ class TestWeightLeaves:
         leaves, _ = state.weight_leaves(Tape(), False)
         for name, arr in res.state.omega_arrays().items():
             assert np.array_equal(leaves[name].data, arr), name
+
+
+class RefAdam:
+    """The per-array Adam that the one-pass group step replaced: named
+    arrays updated in place, a missing gradient read as zero."""
+
+    def __init__(self, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.lr, self.betas, self.eps, self.weight_decay = lr, betas, eps, weight_decay
+        self.step_count = 0
+        self.moments = {}
+
+    def step(self, params, grads):
+        if self.lr == 0.0:
+            return
+        self.step_count += 1
+        b1, b2 = self.betas
+        correction1 = 1.0 - b1**self.step_count
+        correction2 = 1.0 - b2**self.step_count
+        for name, p in params.items():
+            g = grads.get(name)
+            if g is None:
+                g = np.zeros_like(p)
+            if self.weight_decay:
+                g = g + self.weight_decay * p
+            if name not in self.moments:
+                self.moments[name] = (np.zeros_like(p), np.zeros_like(p))
+            m, v = self.moments[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+
+
+class TestParamGroups:
+    @staticmethod
+    def assert_views(group, arrays):
+        """``arrays`` are, in order, the named views of the group's one buffer."""
+        assert list(arrays) == list(group.arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays.values()]), group.data)
+        for name, a in arrays.items():
+            assert a is group.arrays[name] and a.base is group.data, name
+
+    def assert_state_views(self, state):
+        self.assert_views(state.omega, state.omega_arrays())
+        self.assert_views(state.arch, dict(zip(("alpha", "gamma", "beta"), (state.alpha, state.gamma, state.beta))))
+        for key, name, k in state._op_weights:
+            assert state.ops[key].weights[k] is state.omega.arrays[name], name
+
+    @staticmethod
+    def snapshot(net):
+        """Every named array object of ``net`` and its bytes."""
+        arrays = {**net.omega_arrays(), **(net.arch.arrays if hasattr(net, "arch") else {})}
+        return {name: (a, a.tobytes()) for name, a in arrays.items()}
+
+    @staticmethod
+    def assert_same_objects_new_values(net, before):
+        after = {**net.omega_arrays(), **(net.arch.arrays if hasattr(net, "arch") else {})}
+        assert list(after) == list(before)
+        assert all(after[name] is a for name, (a, _) in before.items())
+        assert any(after[name].tobytes() != raw for name, (_, raw) in before.items())
+
+    def test_bilevel_step_keeps_the_views(self):
+        space = tiny_space()
+        splits = tiny_splits()
+        state = SearchState(space, np.random.default_rng(0))
+        self.assert_state_views(state)
+        before = self.snapshot(state)
+        batch = (splits["train"].xa[:8], splits["train"].xb[:8], splits["train"].labels[:8])
+        bilevel_train_step(state, batch, batch, TrainSchedule(), np.random.default_rng(1), Adam(3e-3), Adam(2e-2))
+        self.assert_same_objects_new_values(state, before)
+        self.assert_state_views(state)
+
+    def test_retrain_step_keeps_the_views(self):
+        space = tiny_space()
+        train = tiny_splits()["train"]
+        net = DiscreteNetwork(mixed_genotype(space), space, np.random.default_rng(3))
+        self.assert_views(net.omega, net.params())
+        before = self.snapshot(net)
+        search_module._descend(net.forward, (train.xa[:8], train.xb[:8], train.labels[:8]), Adam(1e-3), net.omega, "{}")
+        self.assert_same_objects_new_values(net, before)
+        self.assert_views(net.omega, net.params())
+        assert net.param_count() == net.omega.data.size
+
+    def test_resumed_run_keeps_the_views(self, tmp_path, monkeypatch):
+        splits = tiny_splits(n=16)
+        space = tiny_space(k_samples=4)
+        ckpt = tmp_path / "c.ckpt"
+        run_search(splits["train"], splits["val"], space, TrainSchedule(epochs=1, batch_size=8, entropy_tol=0.0),
+                   seed=2, checkpoint_path=ckpt)
+        loaded = {}
+        real = search_module.load_checkpoint
+
+        def capture(*args, **kwargs):
+            out = real(*args, **kwargs)
+            self.assert_state_views(out[0])
+            loaded.update(state=out[0], before=self.snapshot(out[0]))
+            return out
+
+        monkeypatch.setattr(search_module, "load_checkpoint", capture)
+        sched = TrainSchedule(epochs=2, batch_size=8, entropy_tol=0.0)
+        res = run_search(splits["train"], splits["val"], space, sched, seed=2, resume_from=ckpt)
+        assert res.state is loaded["state"] and res.stopped_epoch == 2
+        self.assert_same_objects_new_values(res.state, loaded["before"])
+        self.assert_state_views(res.state)
+
+    def test_each_step_starts_from_zero_gradients(self):
+        space = tiny_space()
+        train = tiny_splits()["train"]
+        net = DiscreteNetwork(mixed_genotype(space), space, np.random.default_rng(3))
+        opt = Adam(1e-3)
+        for start in (0, 8, 16):
+            batch = (train.xa[start : start + 8], train.xb[start : start + 8], train.labels[start : start + 8])
+            fresh = DiscreteNetwork(mixed_genotype(space), space, np.random.default_rng(3))
+            fresh.omega.data[...] = net.omega.data
+            search_module._descend(net.forward, batch, opt, net.omega, "{}")
+            search_module._descend(fresh.forward, batch, Adam(0.0), fresh.omega, "{}")
+            assert net.omega.grad.tobytes() == fresh.omega.grad.tobytes()
+            assert np.any(net.omega.grad != 0.0)
+
+    @staticmethod
+    def gradients(group, rng, silent):
+        """Random gradients per name, None for ``silent``, and the group's
+        gradient buffer holding them (zero for ``silent``)."""
+        grads = {name: None if name == silent else rng.normal(size=a.shape) for name, a in group.arrays.items()}
+        group.grad[...] = 0.0
+        for name, view in group.views(group.grad).items():
+            if grads[name] is not None:
+                view[...] = grads[name]
+        return grads
+
+    @staticmethod
+    def assert_bits(group, reference):
+        for name, a in group.arrays.items():
+            assert a.tobytes() == reference[name].tobytes(), name
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_group_step_is_the_per_array_step_bit_for_bit(self, weight_decay):
+        state = SearchState(tiny_space(), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for group, lr in ((state.omega, 3e-3), (state.arch, 2e-2)):
+            reference = {name: a.copy() for name, a in group.arrays.items()}
+            opt, ref = Adam(lr, weight_decay=weight_decay), RefAdam(lr, weight_decay=weight_decay)
+            silent = list(group.arrays)[1]  # a leaf that takes no gradient
+            for _ in range(5):
+                grads = self.gradients(group, rng, silent)
+                opt.step(group.data, group.grad)
+                ref.step(reference, grads)
+                self.assert_bits(group, reference)
+            assert opt.step_count == ref.step_count == 5
+            for kind, moment in zip((0, 1), opt.moments):
+                for name, view in group.views(moment).items():
+                    assert view.tobytes() == ref.moments[name][kind].tobytes(), name
+
+    def test_zero_learning_rate_is_a_no_op(self):
+        state = SearchState(tiny_space(), np.random.default_rng(0))
+        group = state.omega
+        before = group.data.tobytes()
+        opt = Adam(0.0, weight_decay=1e-3)
+        self.gradients(group, np.random.default_rng(1), None)
+        opt.step(group.data, group.grad)
+        assert group.data.tobytes() == before and opt.step_count == 0 and opt.moments is None
+
+    def test_restored_moments_continue_bit_for_bit(self, tmp_path):
+        space = tiny_space()
+        sched = TrainSchedule(weight_decay=1e-3)
+        state = SearchState(space, np.random.default_rng(0))
+        opts = search_module._optimizers(sched)
+        refs = (RefAdam(sched.weight_lr, weight_decay=sched.weight_decay), RefAdam(sched.arch_lr))
+        references = [{name: a.copy() for name, a in g.arrays.items()} for g in (state.omega, state.arch)]
+        rng = np.random.default_rng(1)
+
+        def steps(groups, opts, n):
+            for _ in range(n):
+                for group, opt, ref, reference in zip(groups, opts, refs, references):
+                    grads = self.gradients(group, rng, list(group.arrays)[0])
+                    opt.step(group.data, group.grad)
+                    ref.step(reference, grads)
+                    self.assert_bits(group, reference)
+
+        steps((state.omega, state.arch), opts, 3)
+        ckpt = tmp_path / "c.ckpt"
+        search_module.save_checkpoint(ckpt, state, *opts, np.random.default_rng(2), [], 3, 0, sched)
+        restored, w_opt, a_opt, *_ = search_module.load_checkpoint(ckpt, space, sched, 0)
+        assert (w_opt.step_count, a_opt.step_count) == (3, 3)
+        steps((restored.omega, restored.arch), (w_opt, a_opt), 2)
+        for opt, ref in zip((w_opt, a_opt), refs):
+            assert opt.step_count == ref.step_count == 5
+
+    def test_an_optimizer_that_never_stepped_writes_no_moments(self, tmp_path):
+        space = tiny_space()
+        sched = TrainSchedule()
+        state = SearchState(space, np.random.default_rng(0))
+        w_opt, a_opt = search_module._optimizers(sched)
+        self.gradients(state.omega, np.random.default_rng(1), None)
+        w_opt.step(state.omega.data, state.omega.grad)
+        names = set(search_module._checkpoint_arrays(state, w_opt, a_opt))
+        assert {n for n in names if "_opt." in n} == {
+            f"w_opt.{kind}.{name}" for kind in "mv" for name in state.omega.arrays
+        }
+        ckpt = tmp_path / "c.ckpt"
+        search_module.save_checkpoint(ckpt, state, w_opt, a_opt, np.random.default_rng(2), [], 1, 0, sched)
+        _, w_back, a_back, *_ = search_module.load_checkpoint(ckpt, space, sched, 0)
+        assert a_back.moments is None
+        for mine, back in zip(w_opt.moments, w_back.moments):
+            assert mine.tobytes() == back.tobytes()
+
+    @pytest.mark.parametrize("space", [tiny_space(), SearchSpaceConfig(), SearchSpaceConfig(n_image_features=3)])
+    def test_tap_flags_are_the_identity_check(self, space):
+        nets = [SearchState(space, np.random.default_rng(0)),
+                DiscreteNetwork(sum_cell_genotype(space), space, np.random.default_rng(0))]
+        for net in nets:
+            assert net.identity_taps == [np.array_equal(tap, np.eye(space.channels)) for tap in net.taps]
+            assert net.identity_taps.count(True) == 2  # tap 0 of each modality
+
+    def test_restored_taps_are_flagged_again(self, tmp_path):
+        space = tiny_space()
+        sched = TrainSchedule()
+        state = SearchState(space, np.random.default_rng(0))
+        state.taps[0][...] = state.taps[1]  # a checkpoint whose identity tap is not the identity
+        ckpt = tmp_path / "c.ckpt"
+        search_module.save_checkpoint(ckpt, state, *search_module._optimizers(sched), np.random.default_rng(2),
+                                      [], 1, 0, sched)
+        restored = search_module.load_checkpoint(ckpt, space, sched, 0)[0]
+        assert restored.identity_taps == [np.array_equal(tap, np.eye(space.channels)) for tap in restored.taps]
+        assert restored.identity_taps[0] is False
 
 
 @pytest.fixture(scope="module")
