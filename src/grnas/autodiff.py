@@ -116,7 +116,12 @@ def accumulate(t: Tensor, g: np.ndarray, at=...) -> None:
 def result(tape: Tape, data: np.ndarray, inputs, backward) -> Tensor:
     """Wrap a forward value; ``backward(out.grad)`` runs on the way back, if
     any input takes a gradient and the output received one."""
-    out = Tensor(data, tape, any(t.requires_grad for t in inputs))
+    requires_grad = False
+    for t in inputs:  # any(), without a generator frame per input
+        if t.requires_grad:
+            requires_grad = True
+            break
+    out = Tensor(data, tape, requires_grad)
     if out.requires_grad:
         tape.record(lambda: out.grad is None or backward(out.grad))
     return out

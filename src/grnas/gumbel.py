@@ -75,19 +75,18 @@ def validate_logits(theta) -> np.ndarray:
     return arr
 
 
-def softmax(z, axis=-1):
-    """Numerically stable softmax (max-subtracted)."""
+def softmax(z):
+    """Numerically stable softmax over the last axis (max-subtracted)."""
     z = np.asarray(z, dtype=np.float64)
-    m = np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(z - kernels.row_max(z))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(z, axis=-1):
-    """Numerically stable log-softmax (max-subtracted)."""
+def log_softmax(z):
+    """Numerically stable log-softmax over the last axis (max-subtracted)."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = z - kernels.row_max(z)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def gumbel_pdf(x, params: GumbelParams = STANDARD):

@@ -167,8 +167,19 @@ class ParamGroup:
             offset += a.size
         self.data = np.concatenate([np.ravel(a) for a in arrays.values()])
         self.grad = np.zeros_like(self.data)
+        self._bind()
+
+    def _bind(self) -> None:
         self.arrays = self.views(self.data)
         self._grad_views = list(self.views(self.grad).values())
+
+    def __getstate__(self):
+        """A copy holds copies of the buffers; its views are made over them."""
+        return {"_layout": self._layout, "data": self.data, "grad": self.grad}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     def views(self, flat: np.ndarray) -> dict:
         """Each name's view of ``flat``, a buffer in this group's layout."""
@@ -190,9 +201,12 @@ class _FusionWeights:
     """Op weights keyed (cell, node, op name), the head and the fixed taps.
 
     The search state holds every candidate op at every node, the derived
-    network only its genotype's op; both keep the same weight names and
-    the same alpha/gamma/beta row layout, so the walker reads either.  The
-    op weights and the head are one parameter group, ``omega``.
+    network only its genotype's op; both keep the same weight names.  The
+    op weights and the head are one parameter group, ``omega``.  ``cells``
+    is what the graph walker reads, built once per network: per cell its
+    incoming edges, its gamma and beta choices (``_cell_choices``) and per
+    node the (name, callable(tape, x, y)) pairs of its ops.  A copy of a
+    network rebinds its views and builds its own ``cells``.
     """
 
     def __init__(self, space: SearchSpaceConfig, op_instances: dict, rng: np.random.Generator):
@@ -209,10 +223,41 @@ class _FusionWeights:
             for (ci, ni, name), inst in sorted(op_instances.items())
             for k in range(len(inst.weights))
         ]
+        # each op's weights as a slice of the list of omega's leaves
+        self._op_slices = [
+            (key, i, i + len(op_instances[key].weights)) for i, (key, _, k) in enumerate(self._op_weights) if k == 0
+        ]
         weights = {name: self.ops[key].weights[k] for key, name, k in self._op_weights}
         self.omega = ParamGroup({**weights, "head.w": head_w, "head.b": head_b})
-        for key, name, k in self._op_weights:  # each op holds its views of the group
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point each op at its views of omega and build ``cells``."""
+        for key, name, k in self._op_weights:
             self.ops[key].weights[k] = self.omega.arrays[name]
+        op_leaves = self._op_leaves = {key: [] for key in self.ops}  # filled by weight_leaves
+
+        def node_op(key):
+            inst = self.ops[key]
+            return lambda tape, x, y: inst.forward(tape, x, y, op_leaves[key])
+
+        nodes = range(self.space.nodes_per_cell)
+        self.cells = tuple(
+            (*choices, [
+                [(name, node_op((ci, ni, name))) for name in SECOND_LEVEL_OPS if (ci, ni, name) in self.ops]
+                for ni in nodes
+            ])
+            for ci, choices in enumerate(self._cell_choices())
+        )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["cells"], state["_op_leaves"]  # closures over this network's ops
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     def flag_taps(self) -> None:
         """Mark the taps equal to the identity, which the walker passes
@@ -224,15 +269,14 @@ class _FusionWeights:
         return self.omega.arrays
 
     def weight_leaves(self, tape, requires_grad: bool):
-        """(leaf tensor per omega_arrays name, each op's weight leaves by op key)."""
+        """(leaf tensor per omega_arrays name, each op's weight leaves by op
+        key); the ops of ``cells`` read the op leaves of the last call."""
         leaves = self.omega.leaves(tape, requires_grad)
-        by_op = {key: [] for key in self.ops}
-        for key, name, _ in self._op_weights:
-            by_op[key].append(leaves[name])
+        values = list(leaves.values())
+        by_op = self._op_leaves
+        for key, start, stop in self._op_slices:
+            by_op[key] = values[start:stop]
         return leaves, by_op
-
-    def arch_arrays(self) -> dict:
-        return {"alpha": self.alpha, "gamma": self.gamma, "beta": self.beta}
 
 
 class SearchState(_FusionWeights):
@@ -253,13 +297,23 @@ class SearchState(_FusionWeights):
             for ni in range(space.nodes_per_cell)
             for name in SECOND_LEVEL_OPS
         }
-        super().__init__(space, op_instances, rng)
         self.arch = ParamGroup({
             "alpha": np.zeros((len(space.first_level_edges()), len(FIRST_LEVEL_OPS))),
             "gamma": np.zeros((space.n_cells * space.nodes_per_cell, len(SECOND_LEVEL_OPS))),
             "beta": np.zeros((space.n_cells * space.nodes_per_cell * 2, 2)),
         })
+        super().__init__(space, op_instances, rng)
+
+    def _bind(self) -> None:
+        super()._bind()
         self.alpha, self.gamma, self.beta = self.arch.arrays.values()
+
+    def _cell_choices(self):
+        """The walker mixes every choice: each cell's arch rows."""
+        return _cell_rows(self.space)
+
+    def arch_arrays(self) -> dict:
+        return {"alpha": self.alpha, "gamma": self.gamma, "beta": self.beta}
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +349,10 @@ def grmc_mixture_weights(tape: Tape, logits: Tensor, lam: float, k: int, rng, mo
     return ad.result(tape, s.mean(axis=1).reshape(logits.shape), (logits,), bw)
 
 
-def _choose(choice, names, branch):
-    """One choice among the candidates ``names``; ``branch(name)`` builds one.
-
-    ``choice`` is an int pick of ``names[choice]`` or a (weights, row) pair
-    from a matrix the walker mixed at once.  A mixture is one weighted_sum
-    that skips "zero" (exact zero contribution and zero weight gradient).
-    """
-    if not isinstance(choice, tuple):
-        return branch(names[choice])
-    w, row = choice
-    return ad.weighted_sum([None if name == "zero" else branch(name) for name in names], w, row)
-
-
 def mixed_edge_forward(x: Tensor, choice):
-    """Identity/Zero edge: the zero branch contributes exactly nothing.
-
-    ``choice`` is a (weights, row) pair or an int pick; a picked zero edge
-    is dropped and gives None.
-    """
-    return _choose(choice, FIRST_LEVEL_OPS, {"identity": x}.get)
+    """Identity/Zero edge mixed by ``choice``, a (weights, row) pair: one
+    weighted_sum in which the zero branch contributes exactly nothing."""
+    return ad.weighted_sum((x, None), *choice)
 
 
 def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops) -> Tensor:
@@ -322,27 +360,51 @@ def cell_forward(tape, inputs, gamma_rows, beta_rows, node_ops) -> Tensor:
 
     inputs: already edge-transformed predecessor tensors (>= 1);
     gamma_rows: per intermediate node, a (weights, row) pair over its ops or
-    an op index;
+    an int pick of one;
     beta_rows: per node, two slot choices, each a (weights, row) pair or an
     int pick of 0 (cell input node) or 1 (previous intermediate node);
     node_ops: per node, list of (name, callable(tape, x, y) -> Tensor).
+    A mixture is one weighted_sum that skips "zero" (exact zero
+    contribution and zero weight gradient).
     """
     if not inputs:
         raise ValueError("cell needs at least one predecessor input")
-    in_c = functools.reduce(ad.add, inputs)
-    prev = in_c
-    node_outputs = []
-    for gamma_row, slot_rows, candidates in zip(gamma_rows, beta_rows, node_ops):
-        wired = {"in": in_c, "prev": prev}
-        slots = [_choose(row, ("in", "prev"), wired.get) for row in slot_rows]
-        fns = dict(candidates)
-        prev = _choose(gamma_row, list(fns), lambda name: fns[name](tape, slots[0], slots[1]))
-        node_outputs.append(prev)
-    return functools.reduce(ad.add, node_outputs)
+    in_c = inputs[0]
+    for x in inputs[1:]:
+        in_c = ad.add(in_c, x)
+    prev, out = in_c, None
+    for gamma_row, (row0, row1), candidates in zip(gamma_rows, beta_rows, node_ops):
+        wired = (in_c, prev)
+        x = ad.weighted_sum(wired, *row0) if isinstance(row0, tuple) else wired[row0]
+        y = ad.weighted_sum(wired, *row1) if isinstance(row1, tuple) else wired[row1]
+        if isinstance(gamma_row, tuple):
+            terms = [None if name == "zero" else fn(tape, x, y) for name, fn in candidates]
+            prev = ad.weighted_sum(terms, *gamma_row)
+        else:
+            prev = candidates[gamma_row][1](tape, x, y)
+        out = prev if out is None else ad.add(out, prev)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the graph walker: search network, its eval mode and the derived network
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_rows(space: SearchSpaceConfig) -> tuple:
+    """Per cell, its rows of the arch matrices in SearchState's layout: the
+    (source node, alpha row) of each incoming edge, each node's gamma row
+    and each node's (slot 0, slot 1) beta rows."""
+    edges = space.first_level_edges()
+    nodes = range(space.nodes_per_cell)
+    return tuple(
+        (
+            tuple((src, ei) for ei, (src, dst) in enumerate(edges) if dst == space.n_feature_nodes + ci),
+            tuple(space.gamma_row(ci, ni) for ni in nodes),
+            tuple((space.beta_row(ci, ni, 0), space.beta_row(ci, ni, 1)) for ni in nodes),
+        )
+        for ci in range(space.n_cells)
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,13 +416,11 @@ def _uniform_cuts(space: SearchSpaceConfig, shapes: tuple):
     0, beta slot 1 and gamma."""
     width = {name: (space.k_samples + 1) * n for name, (_, n) in shapes}
     starts = {name: np.empty(rows, dtype=np.int64) for name, (rows, _) in shapes}
-    edges = space.first_level_edges()
     offset = 0
-    for ci in range(space.n_cells):
-        rows = [("alpha", ei) for ei, (_, d) in enumerate(edges) if d == space.n_feature_nodes + ci]
-        for ni in range(space.nodes_per_cell):
-            rows += [("beta", space.beta_row(ci, ni, 0)), ("beta", space.beta_row(ci, ni, 1)),
-                     ("gamma", space.gamma_row(ci, ni))]
+    for edges, gamma_rows, beta_rows in _cell_rows(space):
+        rows = [("alpha", ei) for _, ei in edges]
+        for g, (b0, b1) in zip(gamma_rows, beta_rows):
+            rows += [("beta", b0), ("beta", b1), ("gamma", g)]
         for name, row in rows:
             starts[name][row] = offset
             offset += width[name]
@@ -379,54 +439,32 @@ def _mixture_uniforms(space: SearchSpaceConfig, logits: dict, rng) -> dict:
     return {name: block[at] for name, at in cuts.items()}
 
 
-def _walk(tape, net: _FusionWeights, choices: dict, xa, xb, rng, mode: str, omega_grads: bool = True):
+def _walk(tape, net: _FusionWeights, weights, xa, xb, omega_grads: bool):
     """Forward pass over the fusion graph; returns (logits, weight leaves).
 
-    ``choices`` maps alpha/gamma/beta, in SearchState's row layout, to
-    logits tensors, each mixed whole by one grmc_mixture_weights call under
-    ``mode``, or to int arrays of a genotype's hard picks.  An op is looked
-    up only when a choice reaches it, so a derived ``net`` holds just its
-    genotype's ops.  The weight leaves take gradients iff ``omega_grads``.
+    ``weights`` is None for a derived network, whose ``cells`` hold its
+    genotype's picks, or the (alpha, gamma, beta) mixture weight tensors of
+    a search state, whose ``cells`` hold the rows they mix.  The weight
+    leaves take gradients iff ``omega_grads``.
     """
-    space = net.space
-    leaves, op_leaves = net.weight_leaves(tape, omega_grads)
-
-    if isinstance(choices["alpha"], Tensor):  # logits: each matrix's weights at once
-        uniforms = _mixture_uniforms(space, choices, rng) if mode == "search" else {}
-        choices = {
-            name: grmc_mixture_weights(tape, t, space.lam, space.k_samples, rng, mode, uniforms.get(name))
-            for name, t in choices.items()
-        }
-
-    def choice(name, row):
-        source = choices[name]
-        return (source, row) if isinstance(source, Tensor) else int(source[row])
-
-    def bind(key):
-        return lambda t, x, y: net.ops[key].forward(t, x, y, op_leaves[key])
-
-    modal = [tape.constant(xa), tape.constant(xb)]
-    node_values = []
+    leaves, _ = net.weight_leaves(tape, omega_grads)
+    modal = (tape.constant(xa), tape.constant(xb))
+    values = []
     for fi, (tap, identity) in enumerate(zip(net.taps, net.identity_taps)):
-        src = modal[0] if fi < space.n_image_features else modal[1]
-        node_values.append(src if identity else ops.channel_linear(src, tape.constant(tap)))
+        src = modal[fi >= net.space.n_image_features]
+        values.append(src if identity else ops.channel_linear(src, tape.constant(tap)))
 
-    edges = space.first_level_edges()
-    nodes = range(space.nodes_per_cell)
-    for ci in range(space.n_cells):
-        dst = space.n_feature_nodes + ci
-        ins = [
-            mixed_edge_forward(node_values[src], choice("alpha", ei))
-            for ei, (src, d) in enumerate(edges)
-            if d == dst
-        ]
-        gamma_rows = [choice("gamma", space.gamma_row(ci, ni)) for ni in nodes]
-        beta_rows = [[choice("beta", space.beta_row(ci, ni, slot)) for slot in range(2)] for ni in nodes]
-        node_ops = [[(name, bind((ci, ni, name))) for name in SECOND_LEVEL_OPS] for ni in nodes]
-        ins = [x for x in ins if x is not None]
-        node_values.append(cell_forward(tape, ins, gamma_rows, beta_rows, node_ops))
+    for edges, gamma_rows, beta_rows, node_ops in net.cells:
+        if weights is None:
+            ins = [values[src] for src in edges]
+        else:
+            wa, wg, wb = weights
+            ins = [mixed_edge_forward(values[src], (wa, row)) for src, row in edges]
+            gamma_rows = [(wg, row) for row in gamma_rows]
+            beta_rows = [((wb, b0), (wb, b1)) for b0, b1 in beta_rows]
+        values.append(cell_forward(tape, ins, gamma_rows, beta_rows, node_ops))
 
-    return _head(tape, node_values[-1], leaves["head.w"], leaves["head.b"]), leaves
+    return _head(tape, values[-1], leaves["head.w"], leaves["head.b"]), leaves
 
 
 def _head(tape, v: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -459,8 +497,14 @@ def network_forward(tape, state: SearchState, xa, xb, rng, mode: str, grads: str
     """
     if grads not in ("omega", "arch", "all"):
         raise ValueError(f"grads must be 'omega', 'arch' or 'all', got {grads!r}")
+    space = state.space
     arch = state.arch.leaves(tape, grads != "omega")
-    logits, leaves = _walk(tape, state, arch, xa, xb, rng, mode, grads != "arch")
+    uniforms = _mixture_uniforms(space, arch, rng) if mode == "search" else {}
+    weights = [
+        grmc_mixture_weights(tape, t, space.lam, space.k_samples, rng, mode, uniforms.get(name))
+        for name, t in arch.items()
+    ]  # each matrix's weights at once
+    logits, leaves = _walk(tape, state, weights, xa, xb, grads != "arch")
     return logits, {**arch, **leaves}
 
 
@@ -745,9 +789,10 @@ SCORE_BLOCK = 128
 class DiscreteNetwork(_FusionWeights):
     """The derived architecture with fresh weights; no sampling anywhere.
 
-    alpha/gamma/beta hold the genotype's picks as ints in SearchState's row
-    layout (edge: identity or zero; node: op index; slot: 0 cell input,
-    1 previous node), which the graph walker takes as hard choices.
+    Its ``cells`` hold the genotype's picks as ints, which the graph walker
+    takes as hard choices: per cell the source nodes of its kept edges, per
+    node its one op (pick 0) and per slot 0 (cell input) or 1 (previous
+    node).
     """
 
     def __init__(self, genotype: Genotype, space: SearchSpaceConfig, rng: np.random.Generator):
@@ -758,11 +803,18 @@ class DiscreteNetwork(_FusionWeights):
             for c in genotype.cells
         }
         super().__init__(space, op_instances, rng)
-        # check_fits guarantees that edges and cells come in row order
-        edges = genotype.first_level_edges
-        self.alpha = np.array([FIRST_LEVEL_OPS.index("identity" if kept else "zero") for *_, kept in edges])
-        self.gamma = np.array([SECOND_LEVEL_OPS.index(c["op"]) for c in genotype.cells])
-        self.beta = np.array([0 if src == "in" else 1 for c in genotype.cells for src in c["inputs"]])
+
+    def _cell_choices(self):
+        # check_fits guarantees that edges and cells come in SearchState's row order
+        edges, cells = self.genotype.first_level_edges, self.genotype.cells
+        return [
+            (
+                tuple(src for src, row in in_edges if edges[row][2]),
+                (0,) * len(gamma_rows),
+                tuple(tuple(0 if src == "in" else 1 for src in cells[g]["inputs"]) for g in gamma_rows),
+            )
+            for in_edges, gamma_rows, _ in _cell_rows(self.space)
+        ]
 
     params = _FusionWeights.omega_arrays
 
@@ -770,7 +822,7 @@ class DiscreteNetwork(_FusionWeights):
         return int(self.omega.data.size)
 
     def forward(self, tape, xa, xb, omega_grads: bool = True):
-        return _walk(tape, self, self.arch_arrays(), xa, xb, None, "eval", omega_grads)
+        return _walk(tape, self, None, xa, xb, omega_grads)
 
     def scores(self, xa, xb) -> np.ndarray:
         """Deterministic class-1 probabilities, from passes that record no
@@ -1033,7 +1085,7 @@ def _restore(manifest: dict, arrays: dict, space: SearchSpaceConfig, schedule: T
     """load_checkpoint's result from a checked manifest and its arrays."""
     state = SearchState(space, np.random.default_rng(manifest["seed"]))
     for name, array in _state_arrays(state).items():
-        array[...] = arrays.pop(name)
+        _put(array, arrays, name)
     state.flag_taps()
 
     w_opt, a_opt = _optimizers(schedule)
@@ -1044,7 +1096,7 @@ def _restore(manifest: dict, arrays: dict, space: SearchSpaceConfig, schedule: T
             opt.moments = (np.zeros_like(group.data), np.zeros_like(group.data))
             for kind, moment in zip("mv", opt.moments):
                 for name, view in group.views(moment).items():
-                    view[...] = arrays[f"{prefix}.{kind}.{name}"]
+                    _put(view, arrays, f"{prefix}.{kind}.{name}")
 
     rng = np.random.default_rng(manifest["seed"])
     rng.bit_generator.state = manifest["rng_state"]
@@ -1056,3 +1108,12 @@ def _restore(manifest: dict, arrays: dict, space: SearchSpaceConfig, schedule: T
             raise ValueError(f"history row {row!r} is not an int epoch and four real numbers")
         history.append(record)
     return state, w_opt, a_opt, rng, history, manifest["epoch"]
+
+
+def _put(target: np.ndarray, arrays: dict, name: str) -> None:
+    """Write the checkpoint's array ``name`` over ``target``; one of
+    another shape is refused, not broadcast."""
+    stored = arrays.pop(name)
+    if stored.shape != target.shape:
+        raise ValueError(f"array {name!r} has shape {list(stored.shape)}, the state's has {list(target.shape)}")
+    target[...] = stored

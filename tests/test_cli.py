@@ -414,10 +414,24 @@ def _cut(n):
     return lambda entries: entries.update({"alpha.f64le": entries["alpha.f64le"][:-n]})
 
 
+def _one_value(name):
+    """The checkpoint array ``name`` cut to its first value, listed in the manifest as shape [1]."""
+
+    def damage(entries):
+        _edit_manifest(lambda m: m["tensors"].__setitem__(name, [1]))(entries)
+        entries[f"{name}.f64le"] = entries[f"{name}.f64le"][:8]
+
+    return damage
+
+
 # name: (damage done to the checkpoint's {entry: bytes}, the error the refusal names)
 CHECKPOINT_DAMAGE = {
     "alpha_short_by_3_bytes": (_cut(3), "ValueError: buffer size must be a multiple of element size"),
     "alpha_short_by_8_bytes": (_cut(8), "ValueError: cannot reshape array of size 17 into shape (9,2)"),
+    "alpha_one_value": (_one_value("alpha"), "ValueError: array 'alpha' has shape [1], the state's has [9, 2]"),
+    "arch_moment_one_value": (
+        _one_value("a_opt.v.gamma"), "ValueError: array 'a_opt.v.gamma' has shape [1], the state's has [4, 5]",
+    ),
     "no_optimizer_steps": (_edit_manifest(lambda m: m.pop("optimizer_steps")), "KeyError: 'optimizer_steps'"),
     "no_alpha_in_tensors": (_edit_manifest(lambda m: m["tensors"].pop("alpha")), "KeyError: 'alpha'"),
     "short_history_row": (

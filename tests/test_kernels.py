@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from grnas import kernels
+from grnas import gumbel, kernels
 from grnas.gumbel import conditional_gumbel_sample, log_partition
 
 EPS = kernels.UNIFORM_EPS
@@ -209,3 +209,57 @@ def test_logsumexp_of_an_all_neg_inf_row_is_neg_inf_without_a_warning():
         assert kernels.logsumexp(np.full(3, -np.inf)) == -np.inf
         got = kernels.logsumexp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
     assert np.array_equal(got, [-np.inf, kernels.logsumexp(np.zeros(2))])
+
+
+def _rows_with_special_entries(rng, shape):
+    """Normal entries with ±0, ±inf and NaN mixed in, and some rows all -inf or all zeros."""
+    z = rng.normal(size=shape)
+    special = np.array([0.0, -0.0, -np.inf, np.inf, np.nan])
+    mask = rng.random(shape) < rng.choice([0.0, 0.2, 0.8])
+    z[mask] = rng.choice(special, size=int(mask.sum()))
+    rows = z.reshape(-1, shape[-1])
+    for fill in (-np.inf, 0.0, -0.0):
+        rows[rng.random(rows.shape[0]) < 0.1] = fill
+    return z
+
+
+def _mixed_zero_tie(z):
+    """Rows whose maximum is a tie of zeros of both signs."""
+    m = np.max(z, axis=-1, keepdims=True)
+    zeros = (z == 0.0) & (m == 0.0)
+    return np.any(zeros & np.signbit(z), axis=-1) & np.any(zeros & ~np.signbit(z), axis=-1)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (2,), (9,), (1, 1), (40, 1), (16, 2), (17, 2), (64, 2), (8, 8, 8), (64, 8, 8), (30, 9), (5, 7, 17)]
+)
+def test_row_max_is_np_max_bit_for_bit(shape):
+    rng = np.random.default_rng([len(shape), *shape])
+    for _ in range(300):
+        z = _rows_with_special_entries(rng, shape)
+        got, want = kernels.row_max(z), np.max(z, axis=-1, keepdims=True)
+        assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True), z
+        # a tie of +0 and -0 may keep either zero: where the signs can differ
+        same_sign = ~_mixed_zero_tie(z)[..., None]
+        assert np.array_equal(np.signbit(got)[same_sign], np.signbit(want)[same_sign]), z
+
+
+@pytest.mark.parametrize("shape", [(2,), (16, 2), (64, 2), (24, 8, 8), (30, 9)])
+def test_softmaxes_and_logsumexp_read_no_sign_of_a_zero_maximum(shape):
+    """Bit for bit the formulas over np.max, on rows with ±0 ties at the maximum."""
+    rng = np.random.default_rng([7, *shape])
+    for _ in range(300):
+        z = rng.choice(np.array([0.0, -0.0, -1.5, -np.inf]), size=shape)
+        with np.errstate(invalid="ignore"):  # all -inf rows
+            shifted = z - np.max(z, axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            want_soft = e / e.sum(axis=-1, keepdims=True)
+            want_log = shifted - np.log(e.sum(axis=-1, keepdims=True))
+            got_soft, got_log = gumbel.softmax(z), gumbel.log_softmax(z)
+            lse = kernels.logsumexp(z)
+        for got, want in ((got_soft, want_soft), (got_log, want_log)):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        rows = z.reshape(-1, shape[-1])
+        want_lse = [kernels.logsumexp(row.tolist()) for row in rows]
+        assert np.array_equal(np.ravel(lse), want_lse, equal_nan=True)

@@ -1057,6 +1057,118 @@ class TestParamGroups:
         assert restored.identity_taps[0] is False
 
 
+class TestWalker:
+    """The walker's structure is built with the network; a forward only reads it."""
+
+    @staticmethod
+    def forwards(space, net):
+        """Every kind of forward of ``net``, over a batch of 4."""
+        x = np.random.default_rng(8).normal(size=(4, space.channels, space.length))
+        if isinstance(net, DiscreteNetwork):
+            return [lambda: net.forward(Tape(), x, -x), lambda: net.forward(Tape(), x, -x, omega_grads=False)]
+        rng = np.random.default_rng(1)
+        return [
+            lambda mode=mode, grads=grads: network_forward(Tape(), net, x, -x, rng, mode, grads)
+            for mode in ("search", "eval")
+            for grads in ("omega", "arch", "all")
+        ]
+
+    @staticmethod
+    def networks(space):
+        genotype = mixed_genotype(space) if space.n_cells == 2 else sum_cell_genotype(space)
+        return [SearchState(space, np.random.default_rng(0)), DiscreteNetwork(genotype, space, np.random.default_rng(3))]
+
+    @pytest.mark.parametrize("space", [tiny_space(), tiny_space(n_cells=3, nodes_per_cell=3)])
+    def test_forwards_build_no_structure(self, space, monkeypatch):
+        nets = self.networks(space)
+        real = SearchSpaceConfig.first_level_edges
+        calls = []
+        monkeypatch.setattr(SearchSpaceConfig, "first_level_edges", lambda self: calls.append(self) or real(self))
+        for net in nets:
+            for forward in self.forwards(space, net) * 2:
+                forward()
+        assert calls == []
+
+    @pytest.mark.parametrize("space", [tiny_space(), tiny_space(n_cells=3, nodes_per_cell=3)])
+    def test_each_cell_runs_through_cell_forward(self, space, monkeypatch):
+        real = search_module.cell_forward
+        cells = []
+        monkeypatch.setattr(search_module, "cell_forward", lambda *args: cells.append(args) or real(*args))
+        for net in self.networks(space):
+            for forward in self.forwards(space, net):
+                cells.clear()
+                forward()
+                assert len(cells) == space.n_cells
+                assert [len(args[2]) for args in cells] == [space.nodes_per_cell] * space.n_cells
+
+
+class TestDeepCopy:
+    """A deep copy of a network is a network of its own: its views are of its
+    own buffers, which its walker reads and its gradients land in."""
+
+    @staticmethod
+    def batch():
+        train = tiny_splits()["train"]
+        return train.xa[:8], train.xb[:8], train.labels[:8]
+
+    @staticmethod
+    def networks():
+        """(network, its omega-only forward, a factory of the same network) of both kinds."""
+        space = tiny_space()
+
+        def search_state():
+            return SearchState(space, np.random.default_rng(0))
+
+        def discrete():
+            return DiscreteNetwork(mixed_genotype(space), space, np.random.default_rng(3))
+
+        def omega_forward(net):
+            if isinstance(net, DiscreteNetwork):
+                return net.forward
+            return lambda tape, xa, xb: network_forward(tape, net, xa, xb, None, "eval", "omega")
+
+        return [(make(), omega_forward, make) for make in (search_state, discrete)]
+
+    def test_copy_views_its_own_buffers(self):
+        for net, forward, _ in self.networks():
+            search_module._descend(forward(net), self.batch(), Adam(1e-2), net.omega, "{}")
+            twin = copy.deepcopy(net)
+            for name in ("omega", "arch") if isinstance(net, SearchState) else ("omega",):
+                group, orig = getattr(twin, name), getattr(net, name)
+                assert group.data is not orig.data and group.data.tobytes() == orig.data.tobytes()
+                TestParamGroups.assert_views(group, group.arrays)
+            for key, name, k in twin._op_weights:
+                assert twin.ops[key].weights[k] is twin.omega.arrays[name], name
+            if isinstance(twin, SearchState):
+                assert all(a is b for a, b in zip((twin.alpha, twin.gamma, twin.beta), twin.arch.arrays.values()))
+
+    def test_adam_on_the_copy_moves_what_its_walker_reads(self):
+        xa, xb, labels = self.batch()
+        for net, forward, make in self.networks():
+            twin = copy.deepcopy(net)
+            before = net.omega.data.tobytes()
+            search_module._descend(forward(twin), (xa, xb, labels), Adam(1e-2), twin.omega, "{}")
+            assert net.omega.data.tobytes() == before
+            reference = make()
+            reference.omega.data[...] = twin.omega.data
+            outputs = [forward(n)(Tape(), xa, xb)[0].data for n in (twin, reference, net)]
+            assert np.array_equal(outputs[0], outputs[1])
+            assert not np.array_equal(outputs[0], outputs[2])
+
+    def test_a_forward_on_the_copy_starts_from_zero_gradients(self):
+        xa, xb, labels = self.batch()
+        for net, forward, make in self.networks():
+            search_module._descend(forward(net), (xa, xb, labels), Adam(0.0), net.omega, "{}")
+            assert np.any(net.omega.grad != 0.0)
+            twin, reference = copy.deepcopy(net), make()
+            for n in (twin, reference):
+                tape = Tape()
+                logits, leaves = forward(n)(tape, xa, xb)
+                tape.backward(cross_entropy_loss(tape, logits, labels))
+                assert all(leaves[name].grad.base is n.omega.grad for name in n.omega.arrays)
+            assert twin.omega.grad.tobytes() == reference.omega.grad.tobytes()
+
+
 @pytest.fixture(scope="module")
 def small_run():
     splits = tiny_splits(n=48)
